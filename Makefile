@@ -1,5 +1,6 @@
 .PHONY: all build test litmus examples smoke lint bmc check bench \
-	bench-smoke service-smoke bench-serve bench-serve-smoke clean
+	bench-smoke service-smoke bench-serve bench-serve-smoke perfbench-gate \
+	clean
 
 all: build
 
@@ -71,6 +72,14 @@ bench-serve-smoke: build
 	dune exec --no-build bin/vrm_cli.exe -- bench-serve \
 	  --requests 200 --clients 4 --json BENCH_service.json
 	sh scripts/bench_digest_check.sh --service BENCH_service.json
+
+# Known-answer gate of the verifier benchmark: one short run each of
+# the certify and bmc-decide workloads. perfbench/run.py exits 1 on any
+# wrong verdict (2 if the tree does not build), which fails the target;
+# the timings the runs print are never checked.
+perfbench-gate:
+	python3 perfbench/run.py --workload certify --seed 1 --seconds 5 --trace 0
+	python3 perfbench/run.py --workload bmc-decide --seed 1 --seconds 5 --trace 0
 
 clean:
 	dune clean

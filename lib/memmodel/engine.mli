@@ -193,9 +193,9 @@ val pp_stats : Format.formatter -> stats -> unit
 (** One outgoing transition of a state. *)
 type ('state, 'label) step =
   | Step of 'label * 'state
-      (** successor state; the label (a human-readable action for witness
-          schedules, and the currency of the POR oracles) is only
-          retained when witnesses or POR need it *)
+      (** successor state; the label (a transition footprint: the
+          currency of the POR oracles and the entries of witness label
+          paths) is only retained when witnesses or POR need it *)
   | Emit of Behavior.outcome
       (** the path ends here with an outcome — fuel exhaustion and panics
           are emitted this way while sibling transitions keep exploring *)
@@ -216,7 +216,10 @@ module type MODEL = sig
   type state
 
   type label
-  (** Witness-schedule entry (e.g. {!Promising.step}) and POR currency. *)
+  (** POR currency and witness-schedule entry: a {!Porlabel.t}
+      footprint in all four models. Witness schedules come back as
+      label paths; a model renders them as text after the search
+      ({!Promising.run_full} replays each path). *)
 
   val key : ctx -> state -> Statekey.t
   (** Canonical memoization key: two states with the same key must have

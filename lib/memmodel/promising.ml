@@ -62,6 +62,14 @@ type state = {
   mem : message list;  (** newest first *)
   next_ts : int;
   threads : tstate array;
+  tkeys : Statekey.h Lazy.t array;
+      (** [tkeys.(i)] is {!thread_prefix} of [threads.(i)]: the hasher
+          after [hash_thread], never extended in place. A step replaces
+          the entry of the one thread it moves and shares every other
+          entry with the parent state, so keying a state hashes the
+          memory plus at most one thread. Forced by whichever domain
+          keys the state, before any descendant can be published to
+          another domain — no suspension is ever forced concurrently. *)
 }
 
 type config = {
@@ -102,22 +110,19 @@ let messages_on st init_val loc =
   if List.exists (fun m -> m.ts = 0) explicit then explicit
   else explicit @ [ { mloc = loc; mval = init_val loc; ts = 0; wtid = -1 } ]
 
-(* Latest message on [loc] with ts <= floor: its ts is the staleness bound. *)
-let latest_before st init_val loc floor =
-  List.fold_left
-    (fun acc m -> if m.ts <= floor && m.ts > acc then m.ts else acc)
-    0
-    (messages_on st init_val loc)
-
 (** Readable messages for a load of [loc] by thread [i]: coherent
     ([ts >= coh]), not superseded below the floor, and not one of the
-    thread's own unfulfilled promises. *)
+    thread's own unfulfilled promises. The staleness bound is the ts of
+    the latest message on [loc] at or below the floor. *)
 let readable st init_val (t : tstate) loc ~floor =
-  let lb = latest_before st init_val loc floor in
+  let msgs = messages_on st init_val loc in
+  let lb =
+    List.fold_left
+      (fun acc m -> if m.ts <= floor && m.ts > acc then m.ts else acc)
+      0 msgs
+  in
   let lo = max (coh_of t loc) lb in
-  List.filter
-    (fun m -> m.ts >= lo && not (List.mem m.ts t.promises))
-    (messages_on st init_val loc)
+  List.filter (fun m -> m.ts >= lo && not (List.mem m.ts t.promises)) msgs
 
 type step_result =
   | Next of state * Porlabel.t
@@ -137,10 +142,47 @@ let pp_step fmt s = Format.fprintf fmt "CPU %d: %s" s.s_tid s.s_what
 let pp_schedule fmt steps =
   Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_step fmt steps
 
+let hash_thread h (t : tstate) =
+  Statekey.char h 'T';
+  Statekey.int h t.vrnew;
+  Statekey.int h t.vwnew;
+  Statekey.int h t.vctrl;
+  Statekey.int h t.vrmax;
+  Statekey.int h t.vwmax;
+  Statekey.int h t.vall;
+  Statekey.int h t.vrel;
+  Statekey.int h t.fuel;
+  Statekey.int h t.promise_budget;
+  Statekey.int h (Reg.Map.cardinal t.regs);
+  Reg.Map.iter
+    (fun r (v, w) ->
+      Statekey.str h (Reg.name r);
+      Statekey.int h v;
+      Statekey.int h w)
+    t.regs;
+  Statekey.int h (Loc.Map.cardinal t.coh);
+  Loc.Map.iter
+    (fun l c ->
+      Statekey.loc h l;
+      Statekey.int h c)
+    t.coh;
+  Statekey.int h (List.length t.promises);
+  List.iter (Statekey.int h) t.promises;
+  Statekey.instrs h t.code
+
+(* One thread's hash prefix: every state key finishes or extends it
+   (through [Statekey.copy]) instead of rehashing the thread. *)
+let thread_prefix (t : tstate) : Statekey.h =
+  let h = Statekey.fresh () in
+  hash_thread h t;
+  h
+
 let set_thread st i t' =
   let threads = Array.copy st.threads in
   threads.(i) <- t';
-  { st with threads }
+  let tkeys = Array.copy st.tkeys in
+  tkeys.(i) <- lazy (thread_prefix t');
+  { st with threads; tkeys }
 
 (* Shared placeholder footprint for solo runs and label-free search:
    never consulted, never compared. *)
@@ -467,11 +509,14 @@ let describe_step (st : state) (st' : state) (i : int) (instr : Instr.t) :
 (* ------------------------------------------------------------------ *)
 (* State keys                                                          *)
 (* ------------------------------------------------------------------ *)
-(* One canonical encoder for shared memory and for one thread's state;
-   the full-state key and the per-thread solo-exploration key are both
-   compositions of these two — the historical duplicate key functions
-   (full state here, [mem + thread] inside [solo_write_candidates])
-   collapsed into one place. *)
+(* One canonical encoder for shared memory ([hash_mem]) and one for a
+   thread's state ([hash_thread], cached per thread as [tkeys]); the
+   full-state key, the orbit-canonical key and the per-thread
+   solo-exploration key all reuse the cached thread prefixes rather
+   than rehashing any thread's remaining code. *)
+
+let subkey k = Statekey.finish (Lazy.force k)
+
 
 let hash_mem h (st : state) =
   Statekey.int h st.next_ts;
@@ -483,38 +528,10 @@ let hash_mem h (st : state) =
       Statekey.int h m.wtid)
     st.mem
 
-let hash_thread h (t : tstate) =
-  Statekey.char h 'T';
-  Statekey.int h t.vrnew;
-  Statekey.int h t.vwnew;
-  Statekey.int h t.vctrl;
-  Statekey.int h t.vrmax;
-  Statekey.int h t.vwmax;
-  Statekey.int h t.vall;
-  Statekey.int h t.vrel;
-  Statekey.int h t.fuel;
-  Statekey.int h t.promise_budget;
-  Statekey.int h (Reg.Map.cardinal t.regs);
-  Reg.Map.iter
-    (fun r (v, w) ->
-      Statekey.str h (Reg.name r);
-      Statekey.int h v;
-      Statekey.int h w)
-    t.regs;
-  Statekey.int h (Loc.Map.cardinal t.coh);
-  Loc.Map.iter
-    (fun l c ->
-      Statekey.loc h l;
-      Statekey.int h c)
-    t.coh;
-  Statekey.int h (List.length t.promises);
-  List.iter (Statekey.int h) t.promises;
-  Statekey.instrs h t.code
-
 let state_key (st : state) : Statekey.t =
   let h = Statekey.fresh () in
   hash_mem h st;
-  Array.iter (hash_thread h) st.threads;
+  Array.iter (fun k -> Statekey.absorb h (subkey k)) st.tkeys;
   Statekey.finish h
 
 (* Orbit-canonical key. Unlike SC/TSO, part of a Promising thread's
@@ -533,13 +550,18 @@ let state_key (st : state) : Statekey.t =
      ownership relation are permuted consistently.
 
    Timestamps themselves are global (positions in the append-only
-   memory) and permutation-invariant — they are never remapped. *)
+   memory) and permutation-invariant — they are never remapped.
+
+   Each sub-key extends a copy of the thread's cached prefix, so it has
+   exactly the value of a fresh [hash_thread] stream extended by the
+   written messages: the sort order, which picks the orbit
+   representative (and the [sym_collapsed] count), does not depend on
+   the caching. *)
 let canonical_key sym (st : state) : Statekey.t =
-  let n = Array.length st.threads in
   let sub =
-    Array.init n (fun i ->
-        let h = Statekey.fresh () in
-        hash_thread h st.threads.(i);
+    Array.mapi
+      (fun i k ->
+        let h = Statekey.copy (Lazy.force k) in
         List.iter
           (fun m ->
             if m.wtid = i then begin
@@ -549,6 +571,7 @@ let canonical_key sym (st : state) : Statekey.t =
             end)
           st.mem;
         Statekey.finish h)
+      st.tkeys
   in
   let ord = Symmetry.order sym sub in
   let rank = Symmetry.inverse ord in
@@ -568,7 +591,7 @@ let canonical_key sym (st : state) : Statekey.t =
 let thread_key (st : state) i : Statekey.t =
   let h = Statekey.fresh () in
   hash_mem h st;
-  hash_thread h st.threads.(i);
+  Statekey.absorb h (subkey st.tkeys.(i));
   Statekey.finish h
 
 (* The pre-interning key (string digest of a rendered state), kept only
@@ -725,6 +748,31 @@ let rec access_bases acc = function
       in
       access_bases acc rest
 
+(* Timestamp ranks for [cert_key]: the noted values sorted and
+   deduplicated into the prefix [0, n) of one array, a value's rank
+   being its index there (found by binary search). *)
+let rank_map (vs : int list) : int array * int =
+  let a = Array.of_list vs in
+  Array.sort Int.compare a;
+  let n = ref 0 in
+  for k = 0 to Array.length a - 1 do
+    if !n = 0 || a.(!n - 1) <> a.(k) then begin
+      a.(!n) <- a.(k);
+      incr n
+    end
+  done;
+  (a, !n)
+
+let rank_of ((a, n) : int array * int) v =
+  let rec search lo hi =
+    let mid = (lo + hi) / 2 in
+    if lo > hi then raise Not_found
+    else if a.(mid) = v then mid
+    else if a.(mid) < v then search (mid + 1) hi
+    else search lo (mid - 1)
+  in
+  search 0 (n - 1)
+
 (* The memo key is a {e canonical projection} of the state onto what a
    solo run of thread [i] can observe. [certifiable]'s verdict is
    invariant under four quotients, and the key hashes the quotient class
@@ -755,9 +803,8 @@ let cert_key (st : state) i : Statekey.t =
   let msgs =
     List.filter (fun m -> List.mem (Loc.base m.mloc) bases) st.mem
   in
-  let module Ts = Set.Make (Int) in
-  let ts = ref (Ts.singleton 0) in
-  let note v = ts := Ts.add v !ts in
+  let ts = ref [ 0 ] in
+  let note v = ts := v :: !ts in
   List.iter (fun m -> note m.ts) msgs;
   Loc.Map.iter
     (fun loc v -> if List.mem (Loc.base loc) bases then note v)
@@ -766,9 +813,8 @@ let cert_key (st : state) i : Statekey.t =
     [ t.vrnew; t.vwnew; t.vctrl; t.vrmax; t.vwmax; t.vall; t.vrel ];
   Reg.Map.iter (fun _ (_, w) -> note w) t.regs;
   List.iter note t.promises;
-  let ranks = Hashtbl.create 64 in
-  List.iteri (fun idx v -> Hashtbl.replace ranks v idx) (Ts.elements !ts);
-  let rank v = Hashtbl.find ranks v in
+  let ranks = rank_map !ts in
+  let rank v = rank_of ranks v in
   let h = Statekey.fresh () in
   Statekey.char h 'C';
   Statekey.instrs h t.code;
@@ -894,7 +940,8 @@ let initial_state cfg (prog : Prog.t) : state =
              promises = [] })
          prog.Prog.threads)
   in
-  { mem; next_ts = 1; threads }
+  { mem; next_ts = 1; threads;
+    tkeys = Array.map (fun t -> lazy (thread_prefix t)) threads }
 
 let observe (prog : Prog.t) (st : state) init_val status : Behavior.outcome =
   let value = function
@@ -960,13 +1007,9 @@ module Model = struct
   type ctx = {
     prog : Prog.t;
     cfg : config;
-    tids : int array;
     cache : cert_cache option;
         (** certification memo, shared across domains (internally
             mutex-guarded); [None] when [cfg.cert_cache] is off *)
-    want_desc : bool;
-        (** render human-readable step descriptions (witness runs only;
-            POR-only label requests skip the formatting) *)
     sym : Symmetry.t option;
         (** thread-symmetry structure for orbit-canonical keys; [None]
             when disabled, no groups exist, or [strict_certification]
@@ -975,29 +1018,107 @@ module Model = struct
 
   type nonrec state = state
 
-  (* POR footprint plus the witness-schedule entry; [independent] and
-     [ample] consult only the footprint, witness collection only the
-     step. The footprint's [disc] fields keep labels of one thread's
-     enabled transitions distinct (engine requirement) even when
-     [want_desc] leaves every [l_step] at the dummy. *)
-  type label = { l_fp : Porlabel.t; l_step : step }
+  (* The POR footprint alone: its [disc] fields keep the labels of one
+     thread's enabled transitions distinct (engine requirement), which
+     is also what lets {!run_full} replay a recorded label path and
+     render its witness text after the search. *)
+  type label = Porlabel.t
 
   let key ctx st =
     match ctx.sym with
     | None -> state_key st
     | Some s -> canonical_key s st
 
-  let independent = Some (fun _ctx a b -> Porlabel.independent a.l_fp b.l_fp)
-  let ample = Some (fun _ctx l -> Porlabel.ample l.l_fp)
+  let independent = Some (fun _ctx a b -> Porlabel.independent a b)
+  let ample = Some (fun _ctx l -> Porlabel.ample l)
 
   let sleepable ctx l =
     match ctx.sym with
     | None -> true
-    | Some s -> not (Symmetry.grouped s l.l_fp.Porlabel.tid)
+    | Some s -> not (Symmetry.grouped s l.Porlabel.tid)
 
-  let dummy_step = { s_tid = -1; s_what = "" }
+  (* Outgoing transitions of thread [i] alone: its architectural steps
+     (several for a load: one per readable message) followed, unless
+     [promises] is false, by its certified promise steps. Witness replay
+     enumerates only the moving thread's transitions through this. *)
+  let thread_steps ?(promises = true) { prog; cfg; cache; sym = _ } ~labels
+      (st : state) i : (state, label) Engine.step Seq.t =
+    let init_val loc = Prog.init_value prog loc in
+    let t = st.threads.(i) in
+    if t.code = [] then Seq.empty
+    else
+      (* can this thread take a promise step here? (cheap syntactic
+         over-approximation: budget left and a store in its code) *)
+      let may_promise =
+        t.promise_budget > 0 && store_bases [] t.code <> []
+      in
+      let with_promises = promises in
+      (* ordinary architectural steps *)
+      let arch () =
+        (match
+           step_thread ~fp:labels ~silent_ok:(not may_promise)
+             ~obs:(observable_reg prog i) st init_val i
+         with
+        | steps ->
+            List.to_seq steps
+            |> Seq.filter_map (function
+                 | Next (st', fp) -> Some (Engine.Step (fp, st'))
+                 | Fuel_out ->
+                     Some
+                       (Engine.Emit
+                          (observe prog st init_val
+                             Behavior.Fuel_exhausted))
+                 | Stuck -> None)
+        | exception Thread_panic ->
+            Seq.return
+              (Engine.Emit (observe prog st init_val Behavior.Panicked)))
+          ()
+      in
+      (* promise steps: candidates from a solo run, kept only when the
+         promising thread can still certify. Candidates are sorted so
+         the label discriminator (index) is stable across independent
+         other-thread moves. *)
+      let promises () =
+        if not (may_promise && with_promises) then Seq.Nil
+        else
+          let cands =
+            List.sort compare (solo_write_candidates cfg st init_val i)
+          in
+          let cert_read =
+            if labels then access_bases [] t.code else []
+          in
+          (List.to_seq cands
+          |> Seq.mapi (fun idx cand -> (idx, cand))
+          |> Seq.filter_map (fun (idx, (loc, v)) ->
+                 let ts = st.next_ts in
+                 let m = { mloc = loc; mval = v; ts; wtid = i } in
+                 let t' =
+                   { t with
+                     promises = ts :: t.promises;
+                     promise_budget = t.promise_budget - 1 }
+                 in
+                 let st' =
+                   set_thread
+                     { st with mem = m :: st.mem; next_ts = ts + 1 }
+                     i t'
+                 in
+                 if certifiable_cached cache cfg st' init_val i then
+                   let fp =
+                     if labels then
+                       { (Porlabel.write ~tid:i loc) with
+                         alloc = true;
+                         cert_write = [ Loc.base loc ];
+                         cert_read;
+                         disc = idx }
+                     else dummy_fp
+                   in
+                   Some (Engine.Step (fp, st'))
+                 else None))
+            ()
+      in
+      Seq.append arch promises
 
-  let expand { prog; cfg; tids; cache; want_desc; sym = _ } ~labels
+  let expand ({ prog; cfg; cache; sym = _ } as ctx) ~labels
       (st : state) :
       (state, label) Engine.expansion =
     let init_val loc = Prog.init_value prog loc in
@@ -1020,108 +1141,17 @@ module Model = struct
         Engine.Terminal (Some (observe prog st init_val Behavior.Normal))
       else Engine.Terminal None
     else
-      let thread_steps i =
-        let t = st.threads.(i) in
-        if t.code = [] then Seq.empty
-        else
-          let instr = List.hd t.code in
-          (* can this thread take a promise step here? (cheap syntactic
-             over-approximation: budget left and a store in its code) *)
-          let may_promise =
-            t.promise_budget > 0 && store_bases [] t.code <> []
-          in
-          (* ordinary architectural steps *)
-          let arch () =
-            (match
-               step_thread ~fp:labels ~silent_ok:(not may_promise)
-                 ~obs:(observable_reg prog i) st init_val i
-             with
-            | steps ->
-                List.to_seq steps
-                |> Seq.filter_map (function
-                     | Next (st', fp) ->
-                         let s_step =
-                           if labels && want_desc then
-                             { s_tid = tids.(i);
-                               s_what = describe_step st st' i instr }
-                           else dummy_step
-                         in
-                         Some (Engine.Step ({ l_fp = fp; l_step = s_step }, st'))
-                     | Fuel_out ->
-                         Some
-                           (Engine.Emit
-                              (observe prog st init_val
-                                 Behavior.Fuel_exhausted))
-                     | Stuck -> None)
-            | exception Thread_panic ->
-                Seq.return
-                  (Engine.Emit (observe prog st init_val Behavior.Panicked)))
-              ()
-          in
-          (* promise steps: candidates from a solo run, kept only when the
-             promising thread can still certify. Candidates are sorted so
-             the label discriminator (index) is stable across independent
-             other-thread moves. *)
-          let promises () =
-            if not may_promise then Seq.Nil
-            else
-              let cands =
-                List.sort compare (solo_write_candidates cfg st init_val i)
-              in
-              let cert_read =
-                if labels then access_bases [] t.code else []
-              in
-              (List.to_seq cands
-              |> Seq.mapi (fun idx cand -> (idx, cand))
-              |> Seq.filter_map (fun (idx, (loc, v)) ->
-                     let ts = st.next_ts in
-                     let m = { mloc = loc; mval = v; ts; wtid = i } in
-                     let t' =
-                       { t with
-                         promises = ts :: t.promises;
-                         promise_budget = t.promise_budget - 1 }
-                     in
-                     let st' =
-                       set_thread
-                         { st with mem = m :: st.mem; next_ts = ts + 1 }
-                         i t'
-                     in
-                     if certifiable_cached cache cfg st' init_val i then
-                       let fp =
-                         if labels then
-                           { (Porlabel.write ~tid:i loc) with
-                             alloc = true;
-                             cert_write = [ Loc.base loc ];
-                             cert_read;
-                             disc = idx }
-                         else dummy_fp
-                       in
-                       let s_step =
-                         if labels && want_desc then
-                           { s_tid = tids.(i);
-                             s_what =
-                               Format.asprintf "promises [%a] := %d" Loc.pp
-                                 loc v }
-                         else dummy_step
-                       in
-                       Some (Engine.Step ({ l_fp = fp; l_step = s_step }, st'))
-                     else None))
-                ()
-          in
-          Seq.append arch promises
-      in
-      Engine.Steps (Seq.concat_map thread_steps (Seq.take n (Seq.ints 0)))
+      Engine.Steps
+        (Seq.concat_map (thread_steps ctx ~labels st)
+           (Seq.take n (Seq.ints 0)))
 end
 
 module E = Engine.Make (Model)
 
-let make_ctx ?(want_desc = false) ?(sym = true) prog cfg =
+let make_ctx ?(sym = true) prog cfg =
   { Model.prog;
     cfg;
-    tids =
-      Array.of_list (List.map (fun th -> th.Prog.tid) prog.Prog.threads);
     cache = (if cfg.cert_cache then Some (make_cert_cache ()) else None);
-    want_desc;
     (* Symmetry mirrors the POR valve: under strict certification the
        engine prunes certification-dead states mid-path, and an orbit
        representative may die where its permuted twin's concrete path
@@ -1155,6 +1185,54 @@ let with_cert_stats (ctx : Model.ctx) (s : Engine.stats) : Engine.stats =
         Engine.sym_groups = Symmetry.n_groups sy;
         sym_collapsed = Symmetry.collapsed sy }
 
+(* Witness text is rendered after the search, for the few schedules
+   kept, instead of formatted on every transition: [render_schedule]
+   replays a recorded label path from the initial state. At each state
+   exactly one successor carries the recorded footprint — labels of a
+   state's enabled transitions are distinct, the engine's own sleep-set
+   requirement — and replay fails loudly on zero or several matches
+   rather than skip a step. Every promise footprint sets [alloc], so a
+   label without it can only match an architectural step and replay
+   skips the thread's promise candidates there. A step that grows the
+   thread's promise list is a promise; every other step renders through
+   [describe_step]. *)
+let render_schedule (ctx : Model.ctx) init path : step list =
+  let tids =
+    Array.of_list
+      (List.map (fun th -> th.Prog.tid) ctx.Model.prog.Prog.threads)
+  in
+  let succ st (l : Porlabel.t) =
+    Model.thread_steps ~promises:l.Porlabel.alloc ctx ~labels:true st
+      l.Porlabel.tid
+    |> Seq.filter_map (function
+         | Engine.Step (l', st') when l' = l -> Some st'
+         | _ -> None)
+    |> List.of_seq
+  in
+  let render st st' i =
+    let t = st.threads.(i) and t' = st'.threads.(i) in
+    if List.length t'.promises > List.length t.promises then
+      let m = List.hd st'.mem in
+      Format.asprintf "promises [%a] := %d" Loc.pp m.mloc m.mval
+    else describe_step st st' i (List.hd t.code)
+  in
+  let rec go st acc k = function
+    | [] -> List.rev acc
+    | (l : Porlabel.t) :: rest -> (
+        match succ st l with
+        | [ st' ] ->
+            let i = l.Porlabel.tid in
+            go st' ({ s_tid = tids.(i); s_what = render st st' i } :: acc)
+              (k + 1) rest
+        | matches ->
+            failwith
+              (Printf.sprintf
+                 "Promising.run_full: witness replay of %s diverged at step \
+                  %d (%d successors match the recorded label)"
+                 ctx.Model.prog.Prog.name k (List.length matches)))
+  in
+  go init [] 0 path
+
 (** [run_full ?config ?jobs prog] explores all Promising Arm executions
     of [prog] and returns the behavior set, the per-outcome witness
     schedules, and the exploration statistics. [por] (default on)
@@ -1164,18 +1242,18 @@ let with_cert_stats (ctx : Model.ctx) (s : Engine.stats) : Engine.stats =
 let run_full ?(config = default_config) ?(jobs = 1) ?deadline ?por ?sym
     (prog : Prog.t) :
     Behavior.t * (Behavior.outcome * step list) list * Engine.stats =
-  let ctx = make_ctx ~want_desc:true ?sym prog config in
+  let ctx = make_ctx ?sym prog config in
+  let init = initial_state config prog in
   let r =
     E.explore ~max_states:config.max_states ?deadline
-      ?por:(por_for config por) ~witnesses:true ~jobs ~ctx
-      (initial_state config prog)
+      ?por:(por_for config por) ~witnesses:true ~jobs ~ctx init
   in
+  (* read the certification counters before replay consults the cache *)
+  let stats = with_cert_stats ctx r.E.stats in
   let witnesses =
-    List.map
-      (fun (o, ls) -> (o, List.map (fun l -> l.Model.l_step) ls))
-      r.E.witnesses
+    List.map (fun (o, ls) -> (o, render_schedule ctx init ls)) r.E.witnesses
   in
-  (r.E.behaviors, witnesses, with_cert_stats ctx r.E.stats)
+  (r.E.behaviors, witnesses, stats)
 
 (** [run_with_witnesses ?config ?jobs prog] explores all Promising Arm
     executions of [prog] and additionally returns, for each distinct
@@ -1210,15 +1288,10 @@ let run ?config ?jobs ?deadline ?por ?sym (prog : Prog.t) : Behavior.t =
 (* Key microbenchmark support                                          *)
 (* ------------------------------------------------------------------ *)
 
-(** [key_microbench ?config ~iters prog] compares the legacy string
-    state key against the interned 128-bit hash over a sample of states
-    reachable in [prog]: returns
-    [(legacy_seconds, interned_seconds, states_sampled)] for
-    [iters] keyings of every sampled state. *)
-let key_microbench ?(config = default_config) ~iters (prog : Prog.t) :
-    float * float * int =
+(* Breadth-first sample of up to 512 distinct states reachable in
+   [prog], shared by the key microbenchmark and the sub-key check. *)
+let sample_states config (prog : Prog.t) : state array =
   let ctx = make_ctx prog config in
-  (* breadth-first sample of distinct reachable states *)
   let sample = ref [] in
   let seen = Statekey.Table.create ~dummy:() () in
   let q = Queue.create () in
@@ -1238,7 +1311,16 @@ let key_microbench ?(config = default_config) ~iters (prog : Prog.t) :
                 | Engine.Emit _ -> ())
               steps)
   done;
-  let states = Array.of_list !sample in
+  Array.of_list !sample
+
+(** [key_microbench ?config ~iters prog] compares the legacy string
+    state key against the interned 128-bit hash over a sample of states
+    reachable in [prog]: returns
+    [(legacy_seconds, interned_seconds, states_sampled)] for
+    [iters] keyings of every sampled state. *)
+let key_microbench ?(config = default_config) ~iters (prog : Prog.t) :
+    float * float * int =
+  let states = sample_states config prog in
   let time f =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -1257,3 +1339,36 @@ let key_microbench ?(config = default_config) ~iters (prog : Prog.t) :
         done)
   in
   (legacy, interned, Array.length states)
+
+(** [check_subkeys ?config prog] checks the cached per-thread sub-keys
+    of every sampled state against a from-scratch recomputation that
+    hashes every thread: the state key, the orbit-canonical key (when
+    [prog] has symmetric threads) and each thread's solo key must all
+    agree. Returns the number of states checked. *)
+let check_subkeys ?(config = default_config) (prog : Prog.t) : int =
+  let states = sample_states config prog in
+  let sym = Symmetry.detect prog in
+  Array.iter
+    (fun st ->
+      let fresh =
+        { st with
+          tkeys =
+            Array.map (fun t -> Lazy.from_val (thread_prefix t)) st.threads
+        }
+      in
+      let same what key =
+        if not (Statekey.equal (key st) (key fresh)) then
+          failwith
+            (Printf.sprintf
+               "Promising.check_subkeys: %s: cached %s key differs from \
+                the recomputed one"
+               prog.Prog.name what)
+      in
+      same "state" state_key;
+      Option.iter (fun s -> same "canonical" (canonical_key s)) sym;
+      Array.iteri
+        (fun i _ ->
+          same (Printf.sprintf "thread %d" i) (fun st -> thread_key st i))
+        st.threads)
+    states;
+  Array.length states

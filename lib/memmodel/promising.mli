@@ -101,3 +101,12 @@ val key_microbench :
     key under (a) the legacy string-based keying and (b) the interned
     128-bit {!Statekey} hashing. Returns
     [(legacy_seconds, interned_seconds, sample_size)]. Bench-only. *)
+
+val check_subkeys : ?config:config -> Prog.t -> int
+(** [check_subkeys prog] samples the same states as {!key_microbench}
+    and checks, for each one, that the keys built from its cached
+    per-thread sub-keys — the state key, the orbit-canonical key when
+    [prog] has symmetric threads, and every thread's solo key — equal
+    the same keys recomputed by hashing every thread from scratch.
+    Returns the number of states checked; raises [Failure] naming the
+    first mismatch. Test-only. *)

@@ -60,6 +60,8 @@ let finish h =
   let h0 = if h0 = 0 then 0x9e3779b9 else h0 in
   { h0; h1 = mix64 (h.b + (h.a lsl 1) + 1) }
 
+let copy h = { a = h.a; b = h.b }
+
 (* fold a finished key into another stream — used by the symmetry layer
    to combine per-thread sub-keys in orbit-canonical order *)
 let absorb h k =

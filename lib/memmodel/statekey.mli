@@ -54,6 +54,12 @@ val str : h -> string -> unit
     "bc"] produce different keys. *)
 
 val finish : h -> t
+(** Leaves [h] unchanged, so one prefix can be finished many times. *)
+
+val copy : h -> h
+(** An independent hasher continuing from [h]'s current state. With
+    {!finish}, lets a model hash a shared prefix (one thread's state)
+    once and then finish or extend it many times. *)
 
 val absorb : h -> t -> unit
 (** Fold a finished key into an in-progress hash — how the symmetry

@@ -207,6 +207,97 @@ let test_strict_certification_equivalent () =
       Paper_examples.sb; Litmus_suite.w22_plain ]
 
 (* ------------------------------------------------------------------ *)
+(* Golden witness schedules                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Witness schedules are part of every refinement verdict and cached
+   result, so [run_full] must keep producing them byte for byte. The
+   digests were captured from the executor that rendered each step's
+   text during the search; they pin the rendering of every
+   (outcome, schedule) pair, sorted by outcome, per program. *)
+let witness_digest ws =
+  let ws = List.sort (fun (a, _) (b, _) -> Behavior.compare_outcome a b) ws in
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun (o, s) ->
+               Format.asprintf "%a@\n%a@\n--@\n" Behavior.pp_outcome o
+                 Promising.pp_schedule s)
+             ws)))
+
+let witness_programs =
+  List.map
+    (fun (e : Sekvm.Kernel_progs.entry) ->
+      (e.Sekvm.Kernel_progs.name, e.Sekvm.Kernel_progs.prog,
+       Some e.Sekvm.Kernel_progs.rm_config))
+    Sekvm.Kernel_progs.(corpus @ buggy_corpus @ boundary_corpus)
+  @ List.map
+      (fun (t : Litmus.t) ->
+        (t.Litmus.prog.Prog.name, t.Litmus.prog, t.Litmus.rm_config))
+      (Litmus_suite.all @ Paper_examples.all)
+
+let golden_witnesses =
+  [
+    ("gen_vmid", "2ecac5a03fc9935274929da41b41d41d");
+    ("vcpu-switch", "22883eaf5da8c7497ddc9aba59927f0b");
+    ("vm-boot-state", "a6694fe4c25908646cd6c51ac3dba9ba");
+    ("share-page", "0152e5ef612065c8ae236b6cbde10488");
+    ("mcs-counter", "80a9da67824d964b1d0e3fa9ff5cfce1");
+    ("mcs-handoff", "6dc3dbdf747cdfcfd5b8f3202fd14807");
+    ("gen_vmid-nobarrier", "33675da948510bc6fb209ba18ddf0c93");
+    ("vcpu-switch-nobarrier", "99f65c23c4448624e052fe4e818624e2");
+    ("mcs-handoff-nobarrier", "f2aa0e57272a3844f112b5868244c3a7");
+    ("unlocked-counter", "e4968188d7277c48952ededc6392ff76");
+    ("push-without-pull", "10fcd3810c536b848abc0af8dbf04995");
+    ("pt-walker-race", "d7ae301f105d962f3fc2440d1ab1e48b");
+    ("s-plain", "1910ca0b1e0d5d448880614223c73696");
+    ("s-dmb", "0ff9c6446b504ee5acb95a893430fb67");
+    ("2+2w-plain", "1c3ad871a0f73e4f478324b336e8fc90");
+    ("2+2w-dmbst", "94f85afd8312d0b01f17e7d8ed22f737");
+    ("wrc-plain", "19947fcfaa790e45499df28c73980dba");
+    ("wrc-dmb", "5a623af6f09e8165181acf3d9e31bc6f");
+    ("wrc-addr", "0432ae5057848be431c579e391e2f10b");
+    ("isa2-dmb", "a9940717f917f7c3e46c7b01142f39ab");
+    ("mp-dmb-ctrl", "e031aebd4586ee2c2ab7bb3cfe466fbf");
+    ("mp-dmb-ctrl-isb", "33d4da55395e5d87b9e1df025631693e");
+    ("lb-ctrl", "a3891290c63a1041338a2ebc7c5ecfd7");
+    ("cowr", "f524d85d3654d2f0eacf6cbfa9cb1da3");
+    ("corw1", "eb3e8c1fd0f7507f697149bc065e2243");
+    ("sb-one-dmb", "a98815ef869e7a2797d950ffc502e7cc");
+    ("rel-acq-two-fields", "373902354b5e231ea0186a8de25aa1b9");
+    ("r-plain", "4c950ac9b1b19559f55b032946a15ba6");
+    ("r-dmb", "22252deaf70869108e18e40f53daf81a");
+    ("corr-total", "2d43737362cca64abc293bc1ccd39269");
+    ("sb-rel-acq", "49eb9e437453754eadbe9842f07aa73c");
+    ("example1-ooo-write", "3b5ab7a4b88a8ee208401165f63b1b5b");
+    ("example2-vmid-nobarrier", "811d0d1f3862a8b2f7a0658d51fbc12c");
+    ("example2-vmid-linux-lock", "1a5484acd70461729a26f715e82afb6b");
+    ("example3-vcpu-nobarrier", "84b290f8826ddec0b82e36484b14847d");
+    ("example3-vcpu-relacq", "d43586d2937479445645a2d74e95f2ae");
+    ("example7-user-to-kernel", "701f6e988940b5f5fdcac161fcb0afff");
+    ("mp-plain", "bc1fb003e70304cb105e18af5b965cab");
+    ("mp-dmb", "c3cab3f76dcd553bf10d77480366ee9f");
+    ("mp-rel-acq", "bce9825b96fbf0565ff6514aa8ef53a0");
+    ("sb-plain", "01255074092452ff15ea19c5daf9b660");
+    ("sb-dmb", "29001e6dbf10a8d2d9a3aecf449c8d93");
+    ("lb-data", "32ba181c49c4530770bdd8f2804f35f8");
+    ("corr", "37d8db7590d4073305c1283db780e608");
+    ("mp-dmb-addr", "0918675caa61738e1223da4ccbc5e5dc");
+  ]
+
+let test_golden_witnesses () =
+  let got =
+    List.map
+      (fun (name, prog, config) ->
+        let _, ws, _ = Promising.run_full ?config prog in
+        (name, witness_digest ws))
+      witness_programs
+  in
+  Alcotest.(check (list (pair string string))) "witness digests"
+    golden_witnesses got
+
+(* ------------------------------------------------------------------ *)
 (* Property: SC ⊆ Promising on random programs                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -248,6 +339,69 @@ let qcheck_sc_subset_of_rm =
       let rm = Promising.run ~config:(cfg ~mp:1 ()) prog in
       Behavior.subset (normals sc) (normals rm))
 
+(* Replay must find exactly one matching successor at every step under
+   every search mode, not only the default one the digests pin: POR and
+   symmetry off, parallel search, strict certification. Each mode's
+   schedules cover exactly its outcomes. *)
+let test_witness_replay_modes () =
+  List.iter
+    (fun (t : Litmus.t) ->
+      let p = t.Litmus.prog and config = t.Litmus.rm_config in
+      let strict =
+        { (Option.value ~default:Promising.default_config config) with
+          Promising.strict_certification = true }
+      in
+      List.iter
+        (fun (mode, run) ->
+          let b, ws, _ = run () in
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: one schedule per outcome" p.Prog.name mode)
+            (Behavior.cardinal b) (List.length ws))
+        [ ("por off", fun () -> Promising.run_full ?config ~por:false p);
+          ("sym off", fun () -> Promising.run_full ?config ~sym:false p);
+          ("jobs=2", fun () -> Promising.run_full ?config ~jobs:2 p);
+          ("strict", fun () -> Promising.run_full ~config:strict p) ])
+    Paper_examples.all
+
+(* ------------------------------------------------------------------ *)
+(* Cached per-thread sub-keys                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* A step recomputes the sub-key of the thread it moves and shares the
+   others with its parent; a stale entry would silently merge distinct
+   states. Every sampled state's keys must equal the keys recomputed
+   from scratch. The symmetric corpus exercises the orbit-canonical
+   key. *)
+let test_subkeys_corpus () =
+  List.iter
+    (fun (e : Sekvm.Kernel_progs.entry) ->
+      let n =
+        Promising.check_subkeys ~config:e.Sekvm.Kernel_progs.rm_config
+          e.Sekvm.Kernel_progs.prog
+      in
+      Alcotest.(check bool) (e.Sekvm.Kernel_progs.name ^ " sampled") true
+        (n > 1))
+    Sekvm.Kernel_progs.(corpus @ buggy_corpus @ boundary_corpus @ sym_corpus)
+
+(* Random programs, plus a symmetric variant of each: two copies of
+   the first thread's code under fresh tids that no observable names,
+   so the copies form a symmetry group. *)
+let qcheck_subkeys_random =
+  QCheck.Test.make ~name:"cached sub-keys equal recomputed keys" ~count:40
+    (QCheck.make gen_prog)
+    (fun prog ->
+      let twin =
+        match prog.Prog.threads with
+        | t :: _ ->
+            Prog.make ~name:"random-twin" ~init:prog.Prog.init
+              ~observables:prog.Prog.observables
+              (prog.Prog.threads
+              @ [ Prog.thread 8 t.Prog.code; Prog.thread 9 t.Prog.code ])
+        | [] -> prog
+      in
+      Promising.check_subkeys ~config:(cfg ~mp:1 ()) prog > 0
+      && Promising.check_subkeys ~config:(cfg ~mp:1 ()) twin > 0)
+
 let () =
   Alcotest.run "promising"
     [ ("litmus-corpus", litmus_cases);
@@ -275,4 +429,13 @@ let () =
             test_data_dependency_orders_store;
           Alcotest.test_case "release not promotable" `Quick
             test_release_not_promotable_past_earlier_store ] );
+      ( "witnesses",
+        [ Alcotest.test_case "golden witness schedules" `Quick
+            test_golden_witnesses;
+          Alcotest.test_case "replay under every search mode" `Quick
+            test_witness_replay_modes ] );
+      ( "subkeys",
+        [ Alcotest.test_case "corpus sub-keys consistent" `Quick
+            test_subkeys_corpus;
+          QCheck_alcotest.to_alcotest qcheck_subkeys_random ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_sc_subset_of_rm ]) ]
