@@ -1,6 +1,6 @@
 .PHONY: all build test litmus examples smoke lint bmc check bench \
 	bench-smoke service-smoke bench-serve bench-serve-smoke perfbench-gate \
-	clean
+	fuzz-sweep clean
 
 all: build
 
@@ -80,6 +80,14 @@ bench-serve-smoke: build
 perfbench-gate:
 	python3 perfbench/run.py --workload certify --seed 1 --seconds 5 --trace 0
 	python3 perfbench/run.py --workload bmc-decide --seed 1 --seconds 5 --trace 0
+
+# Deterministic whole-system fuzz sweep: the hypercall-storm driver of
+# test_fuzz over every seed 0-9999 (60 steps each, ~2.5 min on a 2-vCPU box).
+# Lists every seed that breaks a security invariant and exits non-zero
+# if there is one, so an isolation regression fails every run instead
+# of only the runs whose random seeds happen to hit it.
+fuzz-sweep:
+	dune exec test/fuzz/fuzz_sweep.exe
 
 clean:
 	dune clean

@@ -8,12 +8,17 @@
        pair — the writers on the load's location plus the initial write —
        under an exactly-one constraint per load;}
     {- an {e order matrix}: one boolean per unordered event pair, whose
-       polarity gives the direction, so every assignment is a tournament
-       and the transitivity clauses [ord(a,b) ∧ ord(b,c) → ord(a,c)] make
-       it a total order. Arm mode uses two families — a per-location
-       matrix witnessing the {b internal} axiom (acyclic po-loc ∪ rf ∪ co
-       ∪ fr) and a global matrix witnessing the {b external} axiom
-       (acyclic ob); SC mode uses a single global matrix containing
+       polarity gives the direction, so every assignment is a tournament.
+       A tournament is a total order iff it has no 3-cycle, and an
+       unordered triple has exactly two cyclic orientations, so two
+       clauses per triple — 2·C(n,3) per class of n events — make it a
+       total order (the transitivity clause
+       [ord(a,b) ∧ ord(b,c) → ord(a,c)] of each of the six orderings of
+       a triple is one of these two, up to literal order). Arm mode uses
+       two families — a per-location matrix witnessing the
+       {b internal} axiom (acyclic po-loc ∪ rf ∪ co ∪ fr) and a global
+       matrix witnessing the {b external} axiom (acyclic ob); SC mode
+       uses a single global matrix containing
        program order (Shasha–Snir: SC = some interleaving respecting po
        in which every read sees the latest same-location write);}
     {- a {e co-last} witness per observed location ([Obs_loc]), Tseitin-
@@ -38,12 +43,49 @@ open Memmodel
 
 type mode = Arm | Sc
 
+(** An order matrix over the [n] events of a combo, flat: entry
+    [a * n + b] is the literal "a is order-before b" — the pair's
+    variable above the diagonal, its negation below — and 0 when [a]
+    and [b] share no class (or [a = b]). *)
+type matrix = { n : int; lits : int array }
+
+let matrix n = { n; lits = Array.make (n * n) 0 }
+
+let ord mx a b =
+  let l = mx.lits.((a * mx.n) + b) in
+  if l = 0 then raise Not_found else l
+
+(* Give every pair of [cls] (ascending event ids) a fresh variable, in
+   lexicographic pair order, then make the class's restriction a total
+   order: for each triple i < j < k, exclude the cycle i→j→k→i and the
+   cycle i→k→j→i. *)
+let add_class b mx (cls : int array) =
+  let k = Array.length cls in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      let v = Cnf.fresh b in
+      mx.lits.((cls.(i) * mx.n) + cls.(j)) <- v;
+      mx.lits.((cls.(j) * mx.n) + cls.(i)) <- -v
+    done
+  done;
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      let oij = ord mx cls.(i) cls.(j) in
+      for l = j + 1 to k - 1 do
+        let ojl = ord mx cls.(j) cls.(l) and oil = ord mx cls.(i) cls.(l) in
+        Cnf.clause b [ -oij; -ojl; oil ];
+        Cnf.clause b [ oij; ojl; -oil ]
+      done
+    done
+  done
+
 type t = {
   cnf : Cnf.t;
   combo : Candidate.combo;
   mode : mode;
-  rf_vars : (int * (int * int) list) list;
-      (** read event id -> (writer event id | -1 for init, variable) *)
+  rf_vars : (int * int) array array;
+      (** read event id -> (writer event id | -1 for init, variable);
+          empty for events that are not reads *)
   colast_vars : (Loc.t * (int * int) list) list;
       (** observed location -> (write event id, variable) *)
 }
@@ -51,62 +93,42 @@ type t = {
 let build ~mode (prog : Prog.t) (x : Candidate.combo) : t =
   let b = Cnf.create () in
   let n = Array.length x.events in
-  let ids = List.init n (fun i -> i) in
-  (* global order matrix *)
-  let ordg_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun i ->
-      List.iter
-        (fun j -> if i < j then Hashtbl.add ordg_tbl (i, j) (Cnf.fresh b))
-        ids)
-    ids;
-  let ordg a b =
-    if a < b then Hashtbl.find ordg_tbl (a, b)
-    else -Hashtbl.find ordg_tbl (b, a)
+  (* per location: its events and its writes, ascending ids *)
+  let classes =
+    List.map
+      (fun loc ->
+        let evs =
+          List.filter
+            (fun (e : Candidate.event) -> e.loc = Some loc)
+            (Array.to_list x.events)
+        in
+        ( loc,
+          Array.of_list (List.map (fun (e : Candidate.event) -> e.id) evs),
+          List.filter_map
+            (fun (e : Candidate.event) ->
+              if Candidate.is_write e then Some e.id else None)
+            evs ))
+      (Candidate.locs x)
   in
-  let locs = Candidate.locs x in
-  let class_of loc =
-    List.filter (fun i -> x.events.(i).Candidate.loc = Some loc) ids
+  let writes_on loc =
+    match List.find_opt (fun (l, _, _) -> Loc.equal l loc) classes with
+    | Some (_, _, ws) -> ws
+    | None -> []
   in
-  (* per-location matrix (Arm); aliased to the global one under SC *)
+  (* global order matrix; the per-location one (Arm) shares one flat
+     array across the disjoint location classes, and is the global one
+     under SC *)
+  let gm = matrix n in
+  add_class b gm (Array.init n Fun.id);
+  let ordg = ord gm in
   let ordloc =
     match mode with
     | Sc -> ordg
     | Arm ->
-        let tbl = Hashtbl.create 64 in
-        List.iter
-          (fun loc ->
-            let cls = class_of loc in
-            List.iter
-              (fun i ->
-                List.iter
-                  (fun j ->
-                    if i < j then Hashtbl.add tbl (i, j) (Cnf.fresh b))
-                  cls)
-              cls)
-          locs;
-        fun a b ->
-          if a < b then Hashtbl.find tbl (a, b)
-          else -Hashtbl.find tbl (b, a)
+        let lm = matrix n in
+        List.iter (fun (_, cls, _) -> add_class b lm cls) classes;
+        ord lm
   in
-  let add_trans ord cls =
-    List.iter
-      (fun a ->
-        List.iter
-          (fun c ->
-            if a <> c then
-              List.iter
-                (fun bb ->
-                  if bb <> a && bb <> c then
-                    Cnf.clause b [ -(ord a bb); -(ord bb c); ord a c ])
-                cls)
-          cls)
-      cls
-  in
-  add_trans ordg ids;
-  (match mode with
-  | Arm -> List.iter (fun loc -> add_trans ordloc (class_of loc)) locs
-  | Sc -> ());
   (* static edges as unit clauses *)
   (match mode with
   | Sc ->
@@ -124,17 +146,11 @@ let build ~mode (prog : Prog.t) (x : Candidate.combo) : t =
         (Candidate.static_ob_edges x));
   (* reads-from choices with their conditional rf / fr edges *)
   let tid i = x.events.(i).Candidate.tid in
-  let writes_on loc =
-    List.map
-      (fun (e : Candidate.event) -> e.id)
-      (Candidate.writes_on x loc)
-  in
   let external_edges = mode = Arm in
-  let rf_vars =
+  let rf_by_read =
     List.map
       (fun (r : Candidate.event) ->
-        let loc = Option.get r.loc in
-        let ws = writes_on loc in
+        let ws = writes_on (Option.get r.loc) in
         (* an RMW never reads its own write (the enumerating checker
            rejects the self-loop via the internal axiom) *)
         let sources = List.filter (fun w -> w <> r.id) ws in
@@ -172,14 +188,15 @@ let build ~mode (prog : Prog.t) (x : Candidate.combo) : t =
                 ws
             end)
           choices;
-        (r.id, choices))
+        (r.id, Array.of_list choices))
       (Candidate.reads x)
   in
+  let rf_vars = Array.make n [||] in
+  List.iter (fun (r, choices) -> rf_vars.(r) <- choices) rf_by_read;
   (* coe: cross-thread coherence is externally observed (Arm only) *)
   if external_edges then
     List.iter
-      (fun loc ->
-        let ws = writes_on loc in
+      (fun (_, _, ws) ->
         List.iter
           (fun w ->
             List.iter
@@ -188,7 +205,7 @@ let build ~mode (prog : Prog.t) (x : Candidate.combo) : t =
                   Cnf.clause b [ -(ordloc w w'); ordg w w' ])
               ws)
           ws)
-      locs;
+      classes;
   (* co-last witnesses for observed locations *)
   let observed =
     List.sort_uniq compare
@@ -227,9 +244,7 @@ let solve t = Cnf.solve t.cnf
 
 (** After [Sat]: the reads-from choice of the current model. *)
 let rf_of_model t (r : int) : int =
-  match
-    List.find_opt (fun (_, v) -> Cnf.value t.cnf v) (List.assoc r t.rf_vars)
-  with
+  match Array.find_opt (fun (_, v) -> Cnf.value t.cnf v) t.rf_vars.(r) with
   | Some (w, _) -> w
   | None -> -1 (* unreachable under the exactly-one constraint *)
 
@@ -246,14 +261,6 @@ let co_last_of_model t loc : int option =
     (guard or address disagreement) are blocked on the reads-from
     projection alone — feasibility depends only on rf. *)
 let block t ~full =
-  let rf_lits =
-    List.concat_map
-      (fun (_, choices) ->
-        List.filter_map
-          (fun (_, v) -> if Cnf.value t.cnf v then Some (-v) else None)
-          choices)
-      t.rf_vars
-  in
   let co_lits =
     if not full then []
     else
@@ -264,7 +271,13 @@ let block t ~full =
             vars)
         t.colast_vars
   in
-  Cnf.clause t.cnf (rf_lits @ co_lits)
+  let lits = ref co_lits in
+  for r = Array.length t.rf_vars - 1 downto 0 do
+    Array.iter
+      (fun (_, v) -> if Cnf.value t.cnf v then lits := -v :: !lits)
+      t.rf_vars.(r)
+  done;
+  Cnf.clause t.cnf !lits
 
 let n_vars t = Sat.n_vars t.cnf.Cnf.sat
 let n_clauses t = Sat.n_clauses t.cnf.Cnf.sat

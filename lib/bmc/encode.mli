@@ -11,11 +11,35 @@ open Memmodel
 
 type mode = Arm | Sc
 
+(** {2 Order matrices} *)
+
+type matrix
+(** One order variable per unordered pair of events in a class, stored
+    flat over all [n] events of a combo and indexed [a * n + b]. *)
+
+val matrix : int -> matrix
+(** An empty matrix over [n] events: no pair has a variable yet. *)
+
+val add_class : Cnf.t -> matrix -> int array -> unit
+(** [add_class b mx cls] gives every pair of [cls] (distinct event ids,
+    ascending) a fresh variable and adds the transitivity clauses that
+    make every model order [cls] totally: two per unordered triple,
+    2·C(k,3) for a class of k events. Classes of one matrix must be
+    disjoint. *)
+
+val ord : matrix -> int -> int -> int
+(** [ord mx a b]: the literal "a is order-before b". Raises [Not_found]
+    when [a] and [b] share no class. *)
+
+(** {2 Combos} *)
+
 type t = {
   cnf : Cnf.t;
   combo : Candidate.combo;
   mode : mode;
-  rf_vars : (int * (int * int) list) list;
+  rf_vars : (int * int) array array;
+      (** read event id -> (writer event id | -1 for the initial write,
+          variable); empty for events that are not reads *)
   colast_vars : (Loc.t * (int * int) list) list;
 }
 

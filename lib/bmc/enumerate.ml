@@ -27,22 +27,6 @@ type stats = {
   restarts : int;
 }
 
-let zero_stats =
-  {
-    combos = 0;
-    models = 0;
-    outcomes_feasible = 0;
-    infeasible = 0;
-    stuck = 0;
-    vars = 0;
-    clauses = 0;
-    conflicts = 0;
-    decisions = 0;
-    propagations = 0;
-    learned = 0;
-    restarts = 0;
-  }
-
 let run ~mode ?bound (prog : Prog.t) : Behavior.t * bool * stats =
   let combos =
     match bound with
@@ -50,7 +34,10 @@ let run ~mode ?bound (prog : Prog.t) : Behavior.t * bool * stats =
     | Some bound -> Candidate.combos ~bound prog
   in
   let behaviors = ref Behavior.empty in
-  let st = ref { zero_stats with combos = List.length combos } in
+  let models = ref 0 and feasible = ref 0 and infeasible = ref 0 in
+  let stuck = ref 0 and vars = ref 0 and clauses = ref 0 in
+  let conflicts = ref 0 and decisions = ref 0 and propagations = ref 0 in
+  let learned = ref 0 and restarts = ref 0 in
   List.iter
     (fun (x : Candidate.combo) ->
       let enc = Encode.build ~mode prog x in
@@ -60,7 +47,7 @@ let run ~mode ?bound (prog : Prog.t) : Behavior.t * bool * stats =
         match Encode.solve enc with
         | Sat.Unsat -> running := false
         | Sat.Sat -> (
-            st := { !st with models = !st.models + 1 };
+            incr models;
             let rf = Encode.rf_of_model enc in
             match Candidate.decode prog x ~rf with
             | Candidate.Feasible res ->
@@ -70,29 +57,40 @@ let run ~mode ?bound (prog : Prog.t) : Behavior.t * bool * stats =
                     (Behavior.outcome ~status
                        (Candidate.outcome_values prog x res ~co_last))
                     !behaviors;
-                st :=
-                  { !st with outcomes_feasible = !st.outcomes_feasible + 1 };
+                incr feasible;
                 Encode.block enc ~full:true
             | Candidate.Infeasible ->
-                st := { !st with infeasible = !st.infeasible + 1 };
+                incr infeasible;
                 Encode.block enc ~full:false
             | Candidate.Stuck ->
-                st := { !st with stuck = !st.stuck + 1 };
+                incr stuck;
                 Encode.block enc ~full:false)
       done;
       let ss = Encode.sat_stats enc in
-      st :=
-        {
-          !st with
-          vars = !st.vars + Encode.n_vars enc;
-          clauses = !st.clauses + Encode.n_clauses enc;
-          conflicts = !st.conflicts + ss.Sat.conflicts;
-          decisions = !st.decisions + ss.Sat.decisions;
-          propagations = !st.propagations + ss.Sat.propagations;
-          learned = !st.learned + ss.Sat.learned;
-          restarts = !st.restarts + ss.Sat.restarts;
-        })
+      vars := !vars + Encode.n_vars enc;
+      clauses := !clauses + Encode.n_clauses enc;
+      conflicts := !conflicts + ss.Sat.conflicts;
+      decisions := !decisions + ss.Sat.decisions;
+      propagations := !propagations + ss.Sat.propagations;
+      learned := !learned + ss.Sat.learned;
+      restarts := !restarts + ss.Sat.restarts)
     combos;
+  let st =
+    {
+      combos = List.length combos;
+      models = !models;
+      outcomes_feasible = !feasible;
+      infeasible = !infeasible;
+      stuck = !stuck;
+      vars = !vars;
+      clauses = !clauses;
+      conflicts = !conflicts;
+      decisions = !decisions;
+      propagations = !propagations;
+      learned = !learned;
+      restarts = !restarts;
+    }
+  in
   (* Completeness is semantic, not syntactic: unrolling always leaves a
      residual guard-still-true path behind every [While], but when that
      path's guard cannot actually hold (the loop provably exits within
@@ -106,4 +104,4 @@ let run ~mode ?bound (prog : Prog.t) : Behavior.t * bool * stats =
          (fun o -> o.Behavior.status = Behavior.Fuel_exhausted)
          !behaviors)
   in
-  (!behaviors, complete, !st)
+  (!behaviors, complete, st)

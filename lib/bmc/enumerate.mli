@@ -19,8 +19,6 @@ type stats = {
   restarts : int;
 }
 
-val zero_stats : stats
-
 val run : mode:Encode.mode -> ?bound:int -> Prog.t -> Behavior.t * bool * stats
 (** [(behaviors, complete, stats)] — [complete] is false when some
     feasible execution was truncated at the unrolling bound (it appears

@@ -5,7 +5,9 @@
     The feature set is deliberately classical (MiniSat-style):
 
     {ul
-    {- two-watched-literal unit propagation;}
+    {- two-watched-literal unit propagation over per-literal watch
+       vectors (MiniSat's [vec]: a growable [int array] plus a live
+       length), compacted in place as propagation visits them;}
     {- first-UIP conflict analysis with clause learning;}
     {- VSIDS-style variable activities with exponential decay (picked by
        linear scan — instance sizes here are hundreds of variables, not
@@ -32,7 +34,8 @@ type t = {
   mutable clauses : int array array;  (* growable store; learned included *)
   mutable n_clauses : int;
   mutable n_problem : int;  (* clauses added by the user *)
-  mutable watches : int list array;  (* watch-lit index -> clause ids *)
+  mutable watches : int array array;  (* watch-lit index -> clause ids *)
+  mutable wlen : int array;  (* watch-lit index -> live prefix of [watches] *)
   mutable assigns : int array;  (* var -> 0 unset / 1 true / -1 false *)
   mutable level : int array;
   mutable reason : int array;  (* clause id or -1 for decisions *)
@@ -56,7 +59,8 @@ let create () =
     clauses = Array.make 16 [||];
     n_clauses = 0;
     n_problem = 0;
-    watches = Array.make 8 [];
+    watches = Array.make 8 [||];
+    wlen = Array.make 8 0;
     assigns = Array.make 4 0;
     level = Array.make 4 0;
     reason = Array.make 4 (-1);
@@ -80,7 +84,7 @@ let stats s = s.stats
 let n_vars s = s.nvars
 let n_clauses s = s.n_problem
 
-let grow_int a n fill =
+let grow a n fill =
   if Array.length a >= n then a
   else begin
     let a' = Array.make (max n (2 * Array.length a)) fill in
@@ -88,42 +92,19 @@ let grow_int a n fill =
     a'
   end
 
-let grow_float a n =
-  if Array.length a >= n then a
-  else begin
-    let a' = Array.make (max n (2 * Array.length a)) 0. in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  end
-
-let grow_bool a n =
-  if Array.length a >= n then a
-  else begin
-    let a' = Array.make (max n (2 * Array.length a)) false in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  end
-
-let grow_lists a n =
-  if Array.length a >= n then a
-  else begin
-    let a' = Array.make (max n (2 * Array.length a)) [] in
-    Array.blit a 0 a' 0 (Array.length a);
-    a'
-  end
-
 let new_var s =
   let v = s.nvars + 1 in
   s.nvars <- v;
-  s.assigns <- grow_int s.assigns (v + 1) 0;
-  s.level <- grow_int s.level (v + 1) 0;
-  s.reason <- grow_int s.reason (v + 1) (-1);
-  s.activity <- grow_float s.activity (v + 1);
-  s.phase <- grow_bool s.phase (v + 1);
-  s.seen <- grow_bool s.seen (v + 1);
-  s.trail <- grow_int s.trail (v + 1) 0;
-  s.lim <- grow_int s.lim (v + 1) 0;
-  s.watches <- grow_lists s.watches (2 * v + 2);
+  s.assigns <- grow s.assigns (v + 1) 0;
+  s.level <- grow s.level (v + 1) 0;
+  s.reason <- grow s.reason (v + 1) (-1);
+  s.activity <- grow s.activity (v + 1) 0.;
+  s.phase <- grow s.phase (v + 1) false;
+  s.seen <- grow s.seen (v + 1) false;
+  s.trail <- grow s.trail (v + 1) 0;
+  s.lim <- grow s.lim (v + 1) 0;
+  s.watches <- grow s.watches (2 * v + 2) [||];
+  s.wlen <- grow s.wlen (2 * v + 2) 0;
   v
 
 (* watch-list index of a literal *)
@@ -171,6 +152,17 @@ let bump s v =
 
 let decay s = s.var_inc <- s.var_inc /. 0.95
 
+(* append clause [cid] to the watch vector of index [wi] *)
+let watch s wi cid =
+  let n = s.wlen.(wi) in
+  if n = Array.length s.watches.(wi) then begin
+    let ws = Array.make (max 4 (2 * n)) 0 in
+    Array.blit s.watches.(wi) 0 ws 0 n;
+    s.watches.(wi) <- ws
+  end;
+  s.watches.(wi).(n) <- cid;
+  s.wlen.(wi) <- n + 1
+
 let push_clause s lits =
   if s.n_clauses = Array.length s.clauses then begin
     let a = Array.make (2 * s.n_clauses) [||] in
@@ -180,65 +172,70 @@ let push_clause s lits =
   let id = s.n_clauses in
   s.clauses.(id) <- lits;
   s.n_clauses <- id + 1;
-  s.watches.(widx lits.(0)) <- id :: s.watches.(widx lits.(0));
-  s.watches.(widx lits.(1)) <- id :: s.watches.(widx lits.(1));
+  watch s (widx lits.(0)) id;
+  watch s (widx lits.(1)) id;
   id
 
-(** Unit propagation. Returns the id of a conflicting clause, or -1. *)
+(** Unit propagation. Returns the id of a conflicting clause, or -1.
+    Each visited watch vector is compacted in place: the watches that
+    stay are copied down to a write cursor [j] behind the read cursor
+    [i], and the vector's live length is cut to [j]. *)
 let propagate s =
   let confl = ref (-1) in
   while !confl = -1 && s.qhead < s.trail_n do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.stats.propagations <- s.stats.propagations + 1;
-    (* clauses watching ¬p must find a new home *)
+    (* clauses watching ¬p must find a new home; a new home is never ¬p
+       itself (it is false), so [ws] is not reallocated under us *)
     let wi = widx (-p) in
-    let watching = s.watches.(wi) in
-    s.watches.(wi) <- [];
-    let rec go = function
-      | [] -> ()
-      | cid :: rest ->
-          let c = s.clauses.(cid) in
-          (* normalize: the false literal ¬p at position 1 *)
-          if c.(0) = -p then begin
-            c.(0) <- c.(1);
-            c.(1) <- -p
-          end;
-          if lit_value s c.(0) = 1 then begin
-            (* satisfied: keep the watch *)
-            s.watches.(wi) <- cid :: s.watches.(wi);
-            go rest
+    let ws = s.watches.(wi) in
+    let n = s.wlen.(wi) in
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let cid = ws.(!i) in
+      incr i;
+      let c = s.clauses.(cid) in
+      (* normalize: the false literal ¬p at position 1 *)
+      if c.(0) = -p then begin
+        c.(0) <- c.(1);
+        c.(1) <- -p
+      end;
+      if lit_value s c.(0) = 1 then begin
+        (* satisfied: keep the watch *)
+        ws.(!j) <- cid;
+        incr j
+      end
+      else begin
+        (* look for a non-false literal to watch instead *)
+        let len = Array.length c in
+        let k = ref 2 in
+        while !k < len && lit_value s c.(!k) = -1 do
+          incr k
+        done;
+        if !k < len then begin
+          c.(1) <- c.(!k);
+          c.(!k) <- -p;
+          watch s (widx c.(1)) cid
+        end
+        else begin
+          ws.(!j) <- cid;
+          incr j;
+          if lit_value s c.(0) = -1 then begin
+            (* conflict: keep the unvisited watches *)
+            confl := cid;
+            while !i < n do
+              ws.(!j) <- ws.(!i);
+              incr i;
+              incr j
+            done
           end
-          else begin
-            (* look for a non-false literal to watch instead *)
-            let n = Array.length c in
-            let k = ref 2 in
-            while !k < n && lit_value s c.(!k) = -1 do
-              incr k
-            done;
-            if !k < n then begin
-              c.(1) <- c.(!k);
-              c.(!k) <- -p;
-              s.watches.(widx c.(1)) <- cid :: s.watches.(widx c.(1));
-              go rest
-            end
-            else if lit_value s c.(0) = -1 then begin
-              (* conflict: restore remaining watches *)
-              s.watches.(wi) <- cid :: s.watches.(wi);
-              List.iter
-                (fun cid' -> s.watches.(wi) <- cid' :: s.watches.(wi))
-                rest;
-              confl := cid
-            end
-            else begin
-              (* unit: propagate c.(0) *)
-              s.watches.(wi) <- cid :: s.watches.(wi);
-              enqueue s c.(0) cid;
-              go rest
-            end
-          end
-    in
-    go watching
+          else (* unit: propagate c.(0) *)
+            enqueue s c.(0) cid
+        end
+      end
+    done;
+    s.wlen.(wi) <- !j
   done;
   !confl
 
@@ -246,7 +243,7 @@ let add_clause s lits =
   if s.ok then begin
     s.n_problem <- s.n_problem + 1;
     backtrack s 0;
-    let lits = List.sort_uniq compare lits in
+    let lits = List.sort_uniq Int.compare lits in
     assert (List.for_all (fun l -> l <> 0 && abs l <= s.nvars) lits);
     let taut = List.exists (fun l -> List.mem (-l) lits) lits in
     let sat_already = List.exists (fun l -> lit_value s l = 1) lits in
@@ -257,12 +254,10 @@ let add_clause s lits =
       | [ l ] ->
           enqueue s l (-1);
           if propagate s <> -1 then s.ok <- false
-      | l1 :: l2 :: _ ->
-          let c = Array.of_list lits in
-          (* put two unassigned (or most recent) literals first *)
-          ignore l1;
-          ignore l2;
-          ignore (push_clause s c)
+      | _ :: _ :: _ ->
+          (* at level 0 with true and false literals filtered out,
+             every remaining literal is unassigned: watch the first two *)
+          ignore (push_clause s (Array.of_list lits))
     end
   end
 

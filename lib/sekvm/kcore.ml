@@ -234,6 +234,55 @@ let find_vcpu vm vcpuid =
   | None -> panic "unknown vCPU %d of VM %d" vcpuid vm.vmid
 
 (* ------------------------------------------------------------------ *)
+(* Withdrawing a KServ page ahead of an ownership transfer             *)
+(* ------------------------------------------------------------------ *)
+
+(* Map [pfn] back into KServ's stage 2, 1:1. *)
+let remap_kserv_page t ~cpu pfn =
+  match
+    Npt.set_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) ~pfn
+      ~perms:Pte.rw
+  with
+  | Ok () -> S2page.incr_map t.s2page pfn
+  | Error `Already_mapped -> ()
+
+(** Withdraw KServ's stage-2 mapping of [pfn] before the page changes
+    owner. [Ok was_mapped] when nothing references the page any more;
+    [Error `Denied] when something still does (an SMMU mapping of a
+    KServ-owned device, which would keep DMA access to the new owner's
+    page), with KServ's mapping restored. Every path that takes a page
+    from KServ — runtime donation, image donation, migration import —
+    goes through here. *)
+let withdraw_kserv_page t ~cpu pfn : (bool, [ `Denied ]) result =
+  let was_mapped =
+    match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) with
+    | Ok () ->
+        S2page.decr_map t.s2page pfn;
+        true
+    | Error `Not_mapped -> false
+  in
+  if S2page.map_count t.s2page pfn = 0 then Ok was_mapped
+  else begin
+    if was_mapped then remap_kserv_page t ~cpu pfn;
+    Error `Denied
+  end
+
+(* [withdraw_kserv_page] over several pages, all or nothing: on a refusal
+   the pages already withdrawn get their KServ mappings back. *)
+let withdraw_kserv_pages t ~cpu pfns : (unit, [ `Denied ]) result =
+  let rec go withdrawn = function
+    | [] -> Ok ()
+    | pfn :: rest -> (
+        match withdraw_kserv_page t ~cpu pfn with
+        | Ok true -> go (pfn :: withdrawn) rest
+        | Ok false -> go withdrawn rest
+        | Error `Denied ->
+            List.iter (remap_kserv_page t ~cpu) withdrawn;
+            Error `Denied)
+  in
+  go [] pfns
+
+(* ------------------------------------------------------------------ *)
 (* VM image authentication (secure boot, §5.1)                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -242,7 +291,9 @@ let find_vcpu vm vcpuid =
     region (the pages need not be physically contiguous), hashed through
     the contiguous virtual addresses, and compared against
     [expected_hash]. On success the pages change owner to the VM and are
-    mapped at consecutive guest IPAs. *)
+    mapped at consecutive guest IPAs. A page something besides KServ's
+    stage 2 still maps (a device's SMMU table) is refused with
+    [`Denied], every page handed back to KServ as it was. *)
 let set_vm_image t ~cpu ~vmid ~pfns ~expected_hash :
     (unit, [ `Bad_hash | `Denied ]) result =
   t.hypercalls <- t.hypercalls + 1;
@@ -256,15 +307,9 @@ let set_vm_image t ~cpu ~vmid ~pfns ~expected_hash :
         || S2page.is_shared t.s2page pfn)
       pfns
   then Error `Denied
+  (* withdraw the pages from KServ's reach before reading them *)
+  else if Result.is_error (withdraw_kserv_pages t ~cpu pfns) then Error `Denied
   else begin
-    (* withdraw the pages from KServ's reach before reading them *)
-    List.iter
-      (fun pfn ->
-        let ipa = Page_table.page_va pfn in
-        match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa with
-        | Ok () -> S2page.decr_map t.s2page pfn
-        | Error `Not_mapped -> ())
-      pfns;
     (* hash through the EL2 remap region *)
     let h =
       List.fold_left
@@ -283,13 +328,7 @@ let set_vm_image t ~cpu ~vmid ~pfns ~expected_hash :
     in
     if h <> expected_hash then begin
       (* authentication failed: hand the pages back to KServ *)
-      List.iter
-        (fun pfn ->
-          let ipa = Page_table.page_va pfn in
-          (match Npt.set_s2pt t.kserv_npt ~cpu ~ipa ~pfn ~perms:Pte.rw with
-          | Ok () -> S2page.incr_map t.s2page pfn
-          | Error `Already_mapped -> ()))
-        pfns;
+      List.iter (remap_kserv_page t ~cpu) pfns;
       Error `Bad_hash
     end
     else begin
@@ -407,36 +446,15 @@ let map_page_to_vm t ~cpu ~vmid ~ipa ~pfn : (unit, [ `Denied ]) result =
     || S2page.is_shared t.s2page pfn
     || Npt.is_mapped vm.npt ~ipa
   then Error `Denied
+  else if Result.is_error (withdraw_kserv_page t ~cpu pfn) then Error `Denied
   else begin
-    let was_mapped =
-      match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) with
-      | Ok () ->
-          S2page.decr_map t.s2page pfn;
-          true
-      | Error `Not_mapped -> false
-    in
-    if S2page.map_count t.s2page pfn > 0 then begin
-      (* still referenced elsewhere (e.g. SMMU): refuse, restoring the
-         host mapping we just withdrew *)
-      if was_mapped then begin
-        (match
-           Npt.set_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) ~pfn
-             ~perms:Pte.rw
-         with
-        | Ok () -> S2page.incr_map t.s2page pfn
-        | Error `Already_mapped -> ())
-      end;
-      Error `Denied
-    end
-    else begin
-      Phys_mem.scrub t.mem pfn;
-      S2page.set_owner t.s2page pfn (S2page.Vm vmid);
-      match Npt.set_s2pt vm.npt ~cpu ~ipa ~pfn ~perms:Pte.rw with
-      | Ok () ->
-          S2page.incr_map t.s2page pfn;
-          Ok ()
-      | Error `Already_mapped -> assert false (* checked above, under the lock *)
-    end
+    Phys_mem.scrub t.mem pfn;
+    S2page.set_owner t.s2page pfn (S2page.Vm vmid);
+    match Npt.set_s2pt vm.npt ~cpu ~ipa ~pfn ~perms:Pte.rw with
+    | Ok () ->
+        S2page.incr_map t.s2page pfn;
+        Ok ()
+    | Error `Already_mapped -> assert false (* checked above, under the lock *)
   end
 
 (** KServ faults on its own stage 2 (lazy 4 KB mappings, §6): KCore maps
@@ -824,9 +842,9 @@ let import_vm t ~cpu ~pages ~donate ~n_vcpus : int =
       let pfn = donate () in
       if S2page.owner t.s2page pfn <> S2page.Kserv then
         panic "import_vm: donated page not KServ's";
-      (match Npt.clear_s2pt t.kserv_npt ~cpu ~ipa:(Page_table.page_va pfn) with
-      | Ok () -> S2page.decr_map t.s2page pfn
-      | Error `Not_mapped -> ());
+      (match withdraw_kserv_page t ~cpu pfn with
+      | Ok _ -> ()
+      | Error `Denied -> panic "import_vm: donated page still mapped");
       Array.iteri (fun i w -> Phys_mem.write t.mem ~pfn ~idx:i w) words;
       S2page.set_owner t.s2page pfn (S2page.Vm vmid);
       match

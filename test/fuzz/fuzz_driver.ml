@@ -1,0 +1,157 @@
+(* The whole-system fuzz driver: random sequences of hypercalls, guest
+   operations and KServ attacks against a live SeKVM instance, with the
+   security invariants re-checked after every step. Shared by
+   test/test_fuzz.ml and the fuzz_sweep executable, so a seed behaves
+   the same in both. *)
+
+open Sekvm
+open Machine
+
+let cfg = Kcore.default_boot_config
+
+(* A small deterministic PRNG so failures reproduce from the seed. *)
+module Rng = struct
+  type t = { mutable s : int }
+
+  let create seed = { s = (seed * 2 + 1) land 0x3fffffff }
+
+  let next t =
+    t.s <- (t.s * 1103515245 + 12345) land 0x3fffffff;
+    t.s
+
+  let below t n = next t mod n
+
+  let pick t l = List.nth l (below t (List.length l))
+end
+
+type fuzz_state = {
+  kcore : Kcore.t;
+  kserv : Kserv.t;
+  mutable live_vms : int list;
+  mutable steps : int;
+}
+
+let boot_fuzz () =
+  let kcore = Kcore.boot { cfg with Kcore.max_vms = 64 } in
+  let kserv = Kserv.create kcore ~first_free_pfn:(Kcore.kserv_base cfg) in
+  { kcore; kserv; live_vms = []; steps = 0 }
+
+(* One random action. Every action must leave the invariants intact;
+   actions may legitimately be denied, but never corrupt state. *)
+let step (rng : Rng.t) (st : fuzz_state) : unit =
+  st.steps <- st.steps + 1;
+  let cpu = Rng.below rng cfg.Kcore.n_cpus in
+  let random_guest_op () =
+    match Rng.below rng 10 with
+    | 0 -> Vm.G_read (Page_table.page_va (16 + Rng.below rng 64))
+    | 1 ->
+        Vm.G_write
+          (Page_table.page_va (16 + Rng.below rng 64), Rng.below rng 1000)
+    | 2 -> Vm.G_share (Page_table.page_va (16 + Rng.below rng 32))
+    | 3 -> Vm.G_unshare (Page_table.page_va (16 + Rng.below rng 32))
+    | 4 -> Vm.G_ipi (Rng.below rng 2, Rng.below rng 16)
+    | 5 -> Vm.G_ack_irq
+    | 6 -> Vm.G_uart_putc (Rng.below rng 128)
+    | 7 -> Vm.G_set_reg (Rng.below rng 8, Rng.below rng 1000)
+    | 8 -> Vm.G_protect (Page_table.page_va (16 + Rng.below rng 32))
+    | 9 -> Vm.G_uart_getc
+    | _ -> Vm.G_compute (Rng.below rng 100)
+  in
+  match Rng.below rng 12 with
+  | 0 when List.length st.live_vms < 6 -> (
+      match Kserv.boot_vm st.kserv ~cpu ~n_vcpus:2 ~image_pages:1 with
+      | Ok vmid -> st.live_vms <- vmid :: st.live_vms
+      | Error _ -> ()
+      | exception Kserv.Out_of_memory -> ())
+  | 1 when st.live_vms <> [] ->
+      let vmid = Rng.pick rng st.live_vms in
+      st.live_vms <- List.filter (fun v -> v <> vmid) st.live_vms;
+      Kcore.teardown_vm st.kcore ~cpu ~vmid
+  | 2 when st.live_vms <> [] ->
+      ignore (Kcore.snapshot_vm st.kcore ~cpu ~vmid:(Rng.pick rng st.live_vms))
+  | 3 | 4 ->
+      (* KServ attacks with random frames: must never corrupt anything *)
+      let pfn = Rng.below rng (Phys_mem.n_pages st.kcore.Kcore.mem) in
+      ignore (Kserv.attack_read_vm_page st.kserv ~cpu ~pfn);
+      ignore (Kserv.attack_write_vm_page st.kserv ~cpu ~pfn 0xbad);
+      if st.live_vms <> [] then (
+        (* "stealing" a page KServ happens to own is just a legitimate
+           donation; keep the host's free list honest when it succeeds *)
+        match
+          Kserv.attack_steal_page st.kserv ~cpu ~victim_pfn:pfn
+            ~vmid:(Rng.pick rng st.live_vms)
+            ~ipa:(Page_table.page_va (200 + Rng.below rng 16))
+        with
+        | Ok () ->
+            st.kserv.Kserv.free_pfns <-
+              List.filter (fun p -> p <> pfn) st.kserv.Kserv.free_pfns
+        | Error `Denied -> ())
+  | 5 -> (
+      (* random donation attempt with a random (often illegal) frame *)
+      match st.live_vms with
+      | [] -> ()
+      | vms ->
+          let pfn = Rng.below rng (Phys_mem.n_pages st.kcore.Kcore.mem) in
+          match
+            Kcore.map_page_to_vm st.kcore ~cpu ~vmid:(Rng.pick rng vms)
+              ~ipa:(Page_table.page_va (300 + Rng.below rng 16))
+              ~pfn
+          with
+          | Ok () ->
+              st.kserv.Kserv.free_pfns <-
+                List.filter (fun p -> p <> pfn) st.kserv.Kserv.free_pfns
+          | Error `Denied -> ())
+  | 6 -> (
+      (* SMMU lifecycle with random (often illegal) arguments *)
+      let device = Rng.below rng 4 in
+      match st.live_vms with
+      | [] -> ()
+      | vms ->
+          let owner =
+            if Rng.below rng 2 = 0 then Machine.S2page.Kserv
+            else Machine.S2page.Vm (Rng.pick rng vms)
+          in
+          ignore (Kcore.smmu_attach st.kcore ~cpu ~device ~owner);
+          let pfn = Rng.below rng (Phys_mem.n_pages st.kcore.Kcore.mem) in
+          ignore
+            (Kcore.smmu_map st.kcore ~cpu ~device
+               ~iova:(Page_table.page_va (Rng.below rng 8))
+               ~pfn);
+          if Rng.below rng 2 = 0 then
+            ignore
+              (Kcore.smmu_unmap st.kcore ~cpu ~device
+                 ~iova:(Page_table.page_va (Rng.below rng 8))))
+  | _ -> (
+      match st.live_vms with
+      | [] -> ()
+      | vms -> (
+          let vmid = Rng.pick rng vms in
+          let vcpuid = Rng.below rng 2 in
+          let ops = List.init (1 + Rng.below rng 4) (fun _ -> random_guest_op ()) in
+          try ignore (Kserv.run_guest st.kserv ~cpu ~vmid ~vcpuid ops)
+          with Kserv.Out_of_memory -> ()))
+
+let run_fuzz seed n_steps =
+  let rng = Rng.create seed in
+  let st = boot_fuzz () in
+  let ok = ref true in
+  (try
+     for _ = 1 to n_steps do
+       step rng st;
+       match Kcore.check_invariants st.kcore with
+       | [] -> ()
+       | bad ->
+           Format.eprintf "seed %d step %d: %d violations (%s)@." seed
+             st.steps (List.length bad)
+             (String.concat "; "
+                (List.map (fun v -> v.Kcore.detail) bad));
+           ok := false;
+           raise Exit
+     done
+   with
+  | Exit -> ()
+  | Kcore.Kcore_panic msg ->
+      Format.eprintf "seed %d step %d: unexpected panic %s@." seed st.steps
+        msg;
+      ok := false);
+  !ok

@@ -1,8 +1,9 @@
 (* The SAT-based BMC backend cross-validated against the explicit-state
    engines: solver unit tests (pigeonhole UNSAT, assumption cores, random
-   3-CNF vs brute force), golden digest parity over the whole litmus
-   suite under both memory models, random-program equivalence, and the
-   bmc payload codec. *)
+   3-CNF vs brute force, all-solutions model counts), order-matrix
+   model counts, golden digest parity over the whole litmus suite under
+   both memory models, pinned digests over the whole fragment,
+   random-program equivalence, and the bmc payload codec. *)
 
 open Memmodel
 
@@ -94,6 +95,114 @@ let test_random_3cnf () =
         (eval (Array.init nvars (fun i -> Bmc.Sat.value s (i + 1))))
   done
 
+(* Every model of [s] over all its variables, by all-solutions
+   enumeration: after each [Sat] answer the model is blocked with a
+   clause added between solves, so learned clauses and the watch
+   vectors carry over from one solve to the next. [on_model] sees each
+   model before it is blocked. *)
+let enumerate_models ?(on_model = fun _ -> ()) s =
+  let vars = List.init (Bmc.Sat.n_vars s) (fun i -> i + 1) in
+  let rec go k =
+    match Bmc.Sat.solve s with
+    | Bmc.Sat.Unsat -> k
+    | Bmc.Sat.Sat ->
+        let model = List.map (fun v -> Bmc.Sat.value s v) vars in
+        on_model model;
+        Bmc.Sat.add_clause s
+          (List.map2 (fun v b -> if b then -v else v) vars model);
+        go (k + 1)
+  in
+  go 0
+
+(* Random 3-CNFs below the phase transition, so most have many models:
+   enumerating them all must give exactly the brute-force count, every
+   model must satisfy the formula, and no model may repeat. *)
+let test_random_cnf_enumeration () =
+  Random.init 0xb10c;
+  for _ = 1 to 150 do
+    let nvars = 3 + Random.int 7 in
+    let nclauses = Random.int (3 * nvars) in
+    let clauses =
+      List.init nclauses (fun _ ->
+          List.init 3 (fun _ ->
+              let v = 1 + Random.int nvars in
+              if Random.bool () then v else -v))
+    in
+    let eval assign =
+      List.for_all
+        (List.exists (fun l ->
+             if l > 0 then assign.(l - 1) else not assign.(-l - 1)))
+        clauses
+    in
+    let brute = ref 0 in
+    for m = 0 to (1 lsl nvars) - 1 do
+      if eval (Array.init nvars (fun i -> m land (1 lsl i) <> 0)) then
+        incr brute
+    done;
+    let s = Bmc.Sat.create () in
+    for _ = 1 to nvars do
+      ignore (Bmc.Sat.new_var s)
+    done;
+    List.iter (Bmc.Sat.add_clause s) clauses;
+    let seen = Hashtbl.create 64 in
+    let on_model model =
+      if not (eval (Array.of_list model)) then
+        Alcotest.fail "enumerated model violates the formula";
+      if Hashtbl.mem seen model then Alcotest.fail "model enumerated twice";
+      Hashtbl.add seen model ()
+    in
+    Alcotest.(check int) "model count matches brute force" !brute
+      (enumerate_models ~on_model s)
+  done
+
+(* ---- order-matrix encoding ---- *)
+
+let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
+
+(* A tournament is a total order iff it has no 3-cycle, so an order
+   matrix with its transitivity clauses alone has exactly one model per
+   permutation of its class: n! for n events. The global family has one
+   class over every event; the per-location family shares one matrix
+   between disjoint classes, here every even event of a 2n-event combo
+   beside a two-event class of odd ones (2·n! models). *)
+let test_order_matrix () =
+  for n = 1 to 5 do
+    let b = Bmc.Cnf.create () in
+    let mx = Bmc.Encode.matrix n in
+    Bmc.Encode.add_class b mx (Array.init n Fun.id);
+    Alcotest.(check int)
+      (Printf.sprintf "global matrix, %d events" n)
+      (factorial n)
+      (enumerate_models b.Bmc.Cnf.sat);
+    let b = Bmc.Cnf.create () in
+    let mx = Bmc.Encode.matrix (2 * n) in
+    let evens = Array.init n (fun i -> 2 * i) in
+    Bmc.Encode.add_class b mx evens;
+    Alcotest.(check int)
+      (Printf.sprintf "per-location matrix, %d events" n)
+      (factorial n)
+      (enumerate_models b.Bmc.Cnf.sat);
+    let b = Bmc.Cnf.create () in
+    let mx = Bmc.Encode.matrix (2 * n) in
+    Bmc.Encode.add_class b mx evens;
+    Bmc.Encode.add_class b mx [| 1; (2 * n) - 1 |];
+    let cross () = ignore (Bmc.Encode.ord mx 0 1) in
+    if n > 1 then begin
+      Alcotest.(check int)
+        (Printf.sprintf "two location classes, %d + 2 events" n)
+        (2 * factorial n)
+        (enumerate_models b.Bmc.Cnf.sat);
+      Alcotest.check_raises "no entry across classes" Not_found cross
+    end;
+    Alcotest.check_raises "no entry on the diagonal" Not_found (fun () ->
+        ignore (Bmc.Encode.ord mx 0 0))
+  done;
+  (* exactly two clauses per unordered triple *)
+  let b = Bmc.Cnf.create () in
+  Bmc.Encode.add_class b (Bmc.Encode.matrix 6) (Array.init 6 Fun.id);
+  Alcotest.(check int) "2·C(6,3) transitivity clauses" 40
+    (Bmc.Sat.n_clauses b.Bmc.Cnf.sat)
+
 (* ---- golden digest parity over the litmus suite ---- *)
 
 let test_suite_parity () =
@@ -131,6 +240,198 @@ let test_suite_verdicts () =
         t.Litmus.expect_sc
         (Behavior.satisfiable t.Litmus.exists sc.Bmc.behaviors))
     Litmus_suite.all
+
+(* ---- golden digests over the whole fragment ---- *)
+
+let corpus_programs () =
+  let module K = Sekvm.Kernel_progs in
+  List.map (fun (t : Litmus.t) -> t.Litmus.prog)
+    (Paper_examples.all @ Litmus_suite.all)
+  @ List.map
+      (fun (e : K.entry) -> e.K.prog)
+      (K.corpus @ K.buggy_corpus @ K.boundary_corpus @ K.lint_corpus
+     @ K.sym_corpus)
+
+(* [Fingerprint.behaviors] digest and [complete] flag of [Bmc.check] per
+   program, (Arm, SC). These are behavior sets, not solver statistics:
+   a change to the encoding or the solver must keep every one
+   byte-identical. The three [false] entries are bound-limited. *)
+let golden_bmc =
+  [
+    ( "example1-ooo-write",
+      ("2b4469770ae30fca187483d89d7ba355", true),
+      ("99e322099b2c53283986b87c0a014695", true) );
+    ( "example3-vcpu-nobarrier",
+      ("cd08ee6c6e219667c3a72e50bdf459f7", true),
+      ("c658069ca13752d2c6185b6c6a438482", true) );
+    ( "example3-vcpu-relacq",
+      ("c658069ca13752d2c6185b6c6a438482", true),
+      ("c658069ca13752d2c6185b6c6a438482", true) );
+    ( "mp-plain",
+      ("8a1956d204a27c98cd7a5c22d3f822d6", true),
+      ("1fc71a64d57b706e44324895c1fd6b47", true) );
+    ( "mp-dmb",
+      ("1fc71a64d57b706e44324895c1fd6b47", true),
+      ("1fc71a64d57b706e44324895c1fd6b47", true) );
+    ( "mp-rel-acq",
+      ("1fc71a64d57b706e44324895c1fd6b47", true),
+      ("1fc71a64d57b706e44324895c1fd6b47", true) );
+    ( "sb-plain",
+      ("36f6b4f1b45f73a9114ef19366b8163c", true),
+      ("2fadd2cef85290b12756d3c89f689d1a", true) );
+    ( "sb-dmb",
+      ("2fadd2cef85290b12756d3c89f689d1a", true),
+      ("2fadd2cef85290b12756d3c89f689d1a", true) );
+    ( "lb-data",
+      ("7c83c1216d153afc32725fcea4cc28be", true),
+      ("7c83c1216d153afc32725fcea4cc28be", true) );
+    ( "corr",
+      ("b770567301caf5eb129c8c144d47b730", true),
+      ("b770567301caf5eb129c8c144d47b730", true) );
+    ( "mp-dmb-addr",
+      ("a487374b14a070aaf90e4600a9a37966", true),
+      ("a487374b14a070aaf90e4600a9a37966", true) );
+    ( "s-plain",
+      ("2664ecbfbb4e3219001881f95d3ec8ec", true),
+      ("54c1dbcbf906a10e77b5e654beaa10fa", true) );
+    ( "s-dmb",
+      ("54c1dbcbf906a10e77b5e654beaa10fa", true),
+      ("54c1dbcbf906a10e77b5e654beaa10fa", true) );
+    ( "2+2w-plain",
+      ("1113e7e201844f72ce566b35426dc5c3", true),
+      ("4fe5f2f1167674eae7f11175aed10525", true) );
+    ( "2+2w-dmbst",
+      ("4fe5f2f1167674eae7f11175aed10525", true),
+      ("4fe5f2f1167674eae7f11175aed10525", true) );
+    ( "wrc-plain",
+      ("69e09ce614011f6e040bf34c0af62bf7", true),
+      ("fc117c6eaebeec0a24117d84f6474bbd", true) );
+    ( "wrc-dmb",
+      ("fc117c6eaebeec0a24117d84f6474bbd", true),
+      ("fc117c6eaebeec0a24117d84f6474bbd", true) );
+    ( "wrc-addr",
+      ("092bf53ddcf4e7e0885a73578c14959f", true),
+      ("092bf53ddcf4e7e0885a73578c14959f", true) );
+    ( "isa2-dmb",
+      ("fc117c6eaebeec0a24117d84f6474bbd", true),
+      ("fc117c6eaebeec0a24117d84f6474bbd", true) );
+    ( "mp-dmb-ctrl",
+      ("225a0f95e4b95a74ac0dfd1c450da8b9", true),
+      ("defb4a92ef00e582140d49b3daa905fd", true) );
+    ( "mp-dmb-ctrl-isb",
+      ("defb4a92ef00e582140d49b3daa905fd", true),
+      ("defb4a92ef00e582140d49b3daa905fd", true) );
+    ( "lb-ctrl",
+      ("864e63470fbdb68da2f9eeba9e8f1e9a", true),
+      ("864e63470fbdb68da2f9eeba9e8f1e9a", true) );
+    ( "cowr",
+      ("9ca172a8e46d8a166dd9db7638bf041f", true),
+      ("9ca172a8e46d8a166dd9db7638bf041f", true) );
+    ( "corw1",
+      ("3ae0377195d1782cf84796589edcc3f0", true),
+      ("3ae0377195d1782cf84796589edcc3f0", true) );
+    ( "sb-one-dmb",
+      ("36f6b4f1b45f73a9114ef19366b8163c", true),
+      ("2fadd2cef85290b12756d3c89f689d1a", true) );
+    ( "rel-acq-two-fields",
+      ("310ab5cfccacb55d6aff4543547b8e6c", true),
+      ("310ab5cfccacb55d6aff4543547b8e6c", true) );
+    ( "r-plain",
+      ("fda8c281912c9b76c7b16bf11f306852", true),
+      ("34b70a1ef20c848c98bea1cd2b20c18f", true) );
+    ( "r-dmb",
+      ("34b70a1ef20c848c98bea1cd2b20c18f", true),
+      ("34b70a1ef20c848c98bea1cd2b20c18f", true) );
+    ( "corr-total",
+      ("d9179033498b58655f3dbde7c957eac8", true),
+      ("d9179033498b58655f3dbde7c957eac8", true) );
+    ( "sb-rel-acq",
+      ("2fadd2cef85290b12756d3c89f689d1a", true),
+      ("2fadd2cef85290b12756d3c89f689d1a", true) );
+    ( "vcpu-switch",
+      ("b3a3ee4b0fd10adbe42f755a2dcff391", true),
+      ("b3a3ee4b0fd10adbe42f755a2dcff391", true) );
+    ( "vm-boot-state",
+      ("0ad2f87c4aea5e398fd0e1a55a227c76", false),
+      ("0ad2f87c4aea5e398fd0e1a55a227c76", false) );
+    ( "share-page",
+      ("e46710cf3dde4c293b3856bbb4b4c032", false),
+      ("e46710cf3dde4c293b3856bbb4b4c032", false) );
+    ( "vcpu-switch-nobarrier",
+      ("ea03959bf7d75f90a5bf86aa584b3797", true),
+      ("b3a3ee4b0fd10adbe42f755a2dcff391", true) );
+    ( "unlocked-counter",
+      ("73ef2ef515dd0086a2b64b8df39df110", true),
+      ("73ef2ef515dd0086a2b64b8df39df110", true) );
+    ( "push-without-pull",
+      ("0b209fbb1ee44d0028de5297ee9ec421", true),
+      ("0b209fbb1ee44d0028de5297ee9ec421", true) );
+    ( "pt-walker-race",
+      ("a7eecb04bb0fb018f17aa8f793c27759", true),
+      ("a5b20fbd8df64551531670a77980ba62", true) );
+    ( "handoff-missing-dmb",
+      ("eac7100bcdbe0e25e342404184073e9a", true),
+      ("4f664c902e2f7e065febea8c658ed25c", true) );
+    ( "el2-double-map",
+      ("d2039125b0f7af42414214735fa04427", true),
+      ("d2039125b0f7af42414214735fa04427", true) );
+    ( "read-outside-lock",
+      ("6d7280af352f53e1f087b58e23774751", false),
+      ("6d7280af352f53e1f087b58e23774751", false) );
+    ( "pull-no-push",
+      ("8abbc4dc66a5c91075a299509d336e44", true),
+      ("8abbc4dc66a5c91075a299509d336e44", true) );
+    ( "remap-no-tlbi",
+      ("83ee50c410754fc440d6314ccde9b347", true),
+      ("83ee50c410754fc440d6314ccde9b347", true) );
+    ( "tlbi-before-write",
+      ("ff7d28519b7d108daf23341a5a840ec3", true),
+      ("ff7d28519b7d108daf23341a5a840ec3", true) );
+    ( "split-transaction",
+      ("0acc4c7e2c1f7aa4e6e8f6d364bb9ea3", true),
+      ("fdf353511c9cde195ef0b6ea527c5a4b", true) );
+    ( "walker-no-isb",
+      ("c06e0d239899d2bc0d0bf30108e94bba", true),
+      ("c06e0d239899d2bc0d0bf30108e94bba", true) );
+    ( "el2-loop-remap",
+      ("f6e582797e2ca1f05b4c8821e46ee700", true),
+      ("f6e582797e2ca1f05b4c8821e46ee700", true) );
+    ( "sym-stress-3",
+      ("e2ba3565413a5ff5de6935bcb45c51b6", true),
+      ("e2ba3565413a5ff5de6935bcb45c51b6", true) );
+    ( "sym-stress-4",
+      ("22f676c94fed31b928956f59a9792811", true),
+      ("22f676c94fed31b928956f59a9792811", true) );
+    ( "sym-stress-5",
+      ("1060c3bea912f59684dc6604fd33634c", true),
+      ("1060c3bea912f59684dc6604fd33634c", true) ) ]
+
+(* Programs outside the fragment (panic, xchg/cas, trapping address
+   arithmetic) raise [Bmc.Unsupported] and are skipped; the pinned
+   names must be exactly the ones that remain. *)
+let test_golden_digests () =
+  let decided =
+    List.filter_map
+      (fun (p : Prog.t) ->
+        match (Bmc.check ~mode:Bmc.Arm p, Bmc.check ~mode:Bmc.Sc p) with
+        | arm, sc -> Some (p.Prog.name, arm, sc)
+        | exception Bmc.Unsupported _ -> None)
+      (corpus_programs ())
+  in
+  Alcotest.(check (list string))
+    "every fragment program is pinned"
+    (List.map (fun (name, _, _) -> name) golden_bmc)
+    (List.map (fun (name, _, _) -> name) decided);
+  List.iter2
+    (fun (name, arm, sc) (_, arm_pin, sc_pin) ->
+      List.iter
+        (fun (label, (r : Bmc.result), (digest, complete)) ->
+          let what = Printf.sprintf "%s %s" name label in
+          Alcotest.(check string) (what ^ " digest") digest
+            (Fingerprint.behaviors r.Bmc.behaviors);
+          Alcotest.(check bool) (what ^ " complete") complete r.Bmc.complete)
+        [ ("arm", arm, arm_pin); ("sc", sc, sc_pin) ])
+    decided golden_bmc
 
 (* ---- random straight-line equivalence ---- *)
 
@@ -305,12 +606,19 @@ let () =
         [ Alcotest.test_case "pigeonhole unsat" `Quick test_pigeonhole;
           Alcotest.test_case "assumption cores" `Quick test_unsat_core;
           Alcotest.test_case "random 3-cnf vs brute force" `Quick
-            test_random_3cnf ] );
+            test_random_3cnf;
+          Alcotest.test_case "random cnf all-solutions counts" `Quick
+            test_random_cnf_enumeration ] );
+      ( "encode",
+        [ Alcotest.test_case "order matrix has n! models" `Quick
+            test_order_matrix ] );
       ( "parity",
         [ Alcotest.test_case "litmus-suite digest parity" `Quick
             test_suite_parity;
           Alcotest.test_case "litmus-suite verdicts" `Quick
-            test_suite_verdicts ] );
+            test_suite_verdicts;
+          Alcotest.test_case "golden fragment digests" `Quick
+            test_golden_digests ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest qcheck_arm_equiv;
           QCheck_alcotest.to_alcotest qcheck_sc_equiv ] );

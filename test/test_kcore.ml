@@ -278,6 +278,61 @@ let test_smmu_hypercalls () =
   | Error `Denied -> Alcotest.fail "unmap denied");
   check_invariants kcore "after dma unmap"
 
+(* A page a KServ-owned device can still DMA to never changes owner:
+   not by runtime donation, not as a VM image page, not by a migration
+   import. A refused image donation hands every page back to KServ as it
+   was. *)
+let test_no_dma_reachable_donation () =
+  let kcore, kserv = fresh () in
+  let dma_pfn = Kserv.alloc_page kserv and other = Kserv.alloc_page kserv in
+  List.iter
+    (fun pfn ->
+      match Kserv.host_write kserv ~cpu:0 ~pfn ~idx:0 1 with
+      | Ok () -> ()
+      | Error `Denied -> Alcotest.fail "host write")
+    [ other; dma_pfn ];
+  (match Kcore.smmu_attach kcore ~cpu:0 ~device:3 ~owner:S2page.Kserv with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "attach denied");
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:3 ~iova:0 ~pfn:dma_pfn with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "dma map denied");
+  let counts () =
+    List.map (S2page.map_count kcore.Kcore.s2page) [ other; dma_pfn ]
+  in
+  let before = counts () in
+  let vmid = Kcore.register_vm kcore ~cpu:0 in
+  Kcore.register_vcpu kcore ~cpu:0 ~vmid ~vcpuid:0;
+  (match
+     Kcore.set_vm_image kcore ~cpu:0 ~vmid ~pfns:[ other; dma_pfn ]
+       ~expected_hash:(Vm.image_hash kcore.Kcore.mem [ other; dma_pfn ])
+   with
+  | Error `Denied -> ()
+  | Ok () | Error `Bad_hash -> Alcotest.fail "image donation not denied");
+  Alcotest.(check (list int)) "mappings restored" before (counts ());
+  Alcotest.(check bool) "KServ still maps the other page" true
+    (Npt.is_mapped kcore.Kcore.kserv_npt ~ipa:(Page_table.page_va other));
+  List.iter
+    (fun pfn ->
+      Alcotest.(check bool) "still KServ's" true
+        (S2page.owner kcore.Kcore.s2page pfn = S2page.Kserv))
+    [ other; dma_pfn ];
+  (match
+     Kcore.map_page_to_vm kcore ~cpu:0 ~vmid ~ipa:(Page_table.page_va 40)
+       ~pfn:dma_pfn
+   with
+  | Error `Denied -> ()
+  | Ok () -> Alcotest.fail "runtime donation not denied");
+  check_invariants kcore "after refused donations";
+  match
+    Kcore.import_vm kcore ~cpu:0
+      ~pages:[ (0, Array.make Phys_mem.entries_per_page 0) ]
+      ~donate:(fun () -> dma_pfn)
+      ~n_vcpus:1
+  with
+  | _ -> Alcotest.fail "import of a DMA-reachable page accepted"
+  | exception Kcore.Kcore_panic _ -> ()
+
 let test_tlb_maintained_on_unmap () =
   (* after clear_s2pt the CPUs' TLBs hold no stale translation *)
   let kcore, kserv = fresh () in
@@ -321,5 +376,7 @@ let () =
             test_teardown_scrubs_and_returns ] );
       ( "devices",
         [ Alcotest.test_case "smmu hypercalls" `Quick test_smmu_hypercalls;
+          Alcotest.test_case "no dma-reachable donation" `Quick
+            test_no_dma_reachable_donation;
           Alcotest.test_case "tlb maintained" `Quick
             test_tlb_maintained_on_unmap ] ) ]
