@@ -1,6 +1,5 @@
 .PHONY: all build test litmus examples smoke lint bmc check bench \
-	bench-smoke service-smoke bench-serve bench-serve-smoke perfbench-gate \
-	fuzz-sweep clean
+	service-smoke perfbench-gate fuzz-sweep clean
 
 all: build
 
@@ -39,39 +38,21 @@ lint:
 bmc:
 	dune exec bin/vrm_cli.exe -- litmus --suite --backend=both
 
-# The tier-1 gate: what CI runs. (CI additionally runs bench-smoke and
-# service-smoke in their own jobs.)
+# The tier-1 gate: what CI runs. (CI additionally runs the paper bench,
+# service-smoke, perfbench-gate and fuzz-sweep in their own jobs.)
 check: build test examples litmus smoke lint bmc
 
+# The paper's tables and figures with their shape checks, the lint and
+# analyzer gates, and Bechamel timings (~10 s on a 2-vCPU box). Exits
+# non-zero on any failed check.
 bench:
 	dune exec bench/main.exe
-
-# Engine bench in check-only mode: runs the exploration-engine section,
-# writes BENCH_engine.json and validates it round-trips through the
-# strict JSON parser. Asserts digests and counts, never timings.
-bench-smoke:
-	dune exec bench/main.exe -- --json
 
 # Service smoke: start vrmd, push a corpus subset through the socket
 # on both lanes, verify parity against direct runs, prune the cache
 # with cache-gc, exercise graceful shutdown.
 service-smoke: build
 	sh scripts/service_smoke.sh
-
-# Full serving benchmark: in-process vrmd, 8 client threads, 2000
-# requests 3:1 bulk-heavy, cold variants on the bulk lane. Writes
-# BENCH_service.json (per-lane p50/p90/p99, throughput, hot hit
-# ratio, sheds) and exits non-zero if digest parity breaks, an
-# interactive submission is shed, the hot tier is < 5x faster than
-# disk at p50, or the interactive tail is unbounded.
-bench-serve: build
-	dune exec --no-build bin/vrm_cli.exe -- bench-serve --json BENCH_service.json
-
-# CI-scale variant of the above plus the schema/invariant validator.
-bench-serve-smoke: build
-	dune exec --no-build bin/vrm_cli.exe -- bench-serve \
-	  --requests 200 --clients 4 --json BENCH_service.json
-	sh scripts/bench_digest_check.sh --service BENCH_service.json
 
 # Known-answer gate of the verifier benchmark: one short run each of
 # the certify and bmc-decide workloads. perfbench/run.py exits 1 on any

@@ -280,7 +280,8 @@ let print_theorems () =
       (Sekvm.Kernel_progs.corpus @ Sekvm.Kernel_progs.buggy_corpus)
   in
   expect
-    "Theorems 1/2: wDRF corpus refines (RM ⊆ SC); seeded bugs produce RM      witnesses"
+    "Theorems 1/2: wDRF corpus refines (RM ⊆ SC); seeded bugs produce RM \
+     witnesses"
     refined;
   (* Theorem 4: Example 7's kernel behaviors covered by synthesized Q' *)
   let v =
@@ -392,7 +393,8 @@ let print_stress () =
   section "Multi-VM stress: live KCore under interleaved guest load";
   let s = Vrm.Scenario.stress_run ~n_vms:6 ~rounds:3 () in
   Format.printf
-    "%d VMs x %d rounds: %d guest ops, %d stage-2 faults, %d hypercalls,      %d vIPIs@."
+    "%d VMs x %d rounds: %d guest ops, %d stage-2 faults, %d hypercalls, \
+     %d vIPIs@."
     s.Vrm.Scenario.st_vms s.Vrm.Scenario.st_rounds
     s.Vrm.Scenario.st_guest_ops s.Vrm.Scenario.st_s2_faults
     s.Vrm.Scenario.st_hypercalls s.Vrm.Scenario.st_vipis;
@@ -411,768 +413,6 @@ let print_stress () =
     s32.Vrm.Scenario.st_hypercalls;
   expect "32 concurrent VMs (the Fig. 9 maximum) stay invariant-clean"
     (s32.Vrm.Scenario.st_vms = 32)
-
-(* ------------------------------------------------------------------ *)
-(* Parallel search: the engine's multicore mode                        *)
-(* ------------------------------------------------------------------ *)
-
-let print_parallel () =
-  section "Exploration engine: sequential vs parallel search";
-  let jobs = min 4 (Domain.recommended_domain_count ()) in
-  Format.printf "%-26s %-9s %10s %10s %8s %s@." "program" "model" "seq-ms"
-    (Printf.sprintf "par-ms(%d)" jobs) "states" "same-set";
-  let row name model (run : jobs:int -> Memmodel.Behavior.t * Memmodel.Engine.stats) =
-    let seq_b, seq_s = run ~jobs:1 in
-    let par_b, par_s = run ~jobs in
-    let same = Memmodel.Behavior.equal seq_b par_b in
-    Format.printf "%-26s %-9s %10.2f %10.2f %8d %s@." name model
-      (seq_s.Memmodel.Engine.wall_s *. 1000.)
-      (par_s.Memmodel.Engine.wall_s *. 1000.)
-      seq_s.Memmodel.Engine.visited
-      (if same then "yes" else "NO (BUG)");
-    same
-  in
-  let t = Memmodel.Paper_examples.example2_fixed in
-  let prog = t.Memmodel.Litmus.prog in
-  let config =
-    Option.value ~default:Memmodel.Promising.default_config
-      t.Memmodel.Litmus.rm_config
-  in
-  let ok_sc =
-    row prog.Memmodel.Prog.name "sc" (fun ~jobs ->
-        Memmodel.Sc.run_stats ~jobs prog)
-  in
-  let ok_rm =
-    row prog.Memmodel.Prog.name "promising" (fun ~jobs ->
-        Memmodel.Promising.run_stats ~config ~jobs prog)
-  in
-  expect "parallel search returns the sequential behavior sets"
-    (ok_sc && ok_rm)
-
-(* ------------------------------------------------------------------ *)
-(* Engine overhaul: interning, POR, work stealing                      *)
-(* This section is also the payload of BENCH_engine.json (--json).     *)
-(* ------------------------------------------------------------------ *)
-
-let kernel_corpus =
-  Sekvm.Kernel_progs.corpus @ Sekvm.Kernel_progs.buggy_corpus
-
-let digest_behaviors (b : Memmodel.Behavior.t) : string =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Memmodel.Behavior.pp b))
-
-(* One full kernel-corpus refinement sweep under the given engine
-   configuration: wall seconds, total states visited, POR prunes,
-   frontier-task counters, certification-cache counters, per-entry wall
-   times, and one digest covering every behavior set (so configurations
-   can be checked for bit-identical results). Entries are distributed by
-   {!Vrm.Refinement.check_many}: a sequential probe phase across the
-   corpus, then each valve-firing entry re-run alone with the whole jobs
-   budget spent on intra-entry subtree tasks. *)
-type sweep = {
-  sw_label : string;
-  sw_jobs : int;
-  sw_wall : float;
-  sw_visited : int;
-  sw_pruned : int;
-  sw_spawned : int;  (* frontier tasks published *)
-  sw_stolen : int;  (* frontier tasks claimed cross-domain *)
-  sw_cert_calls : int;
-  sw_cert_hits : int;
-  sw_stripes : int;  (* seen-set stripes (max over runs) *)
-  sw_occupancy : int;  (* deepest stripe (max over runs) *)
-  sw_lock_waits : int;  (* contended stripe acquisitions *)
-  sw_minor_words : int;  (* minor-heap words allocated while exploring *)
-  sw_digest : string;
-  sw_entries : (string * float) list;  (* per-entry wall seconds *)
-}
-
-let refinement_sweep ~label ~jobs ?(por = true) ?(sym = true)
-    ?(cert_cache = true) () =
-  let specs =
-    List.map
-      (fun (e : Sekvm.Kernel_progs.entry) ->
-        ( e.Sekvm.Kernel_progs.name,
-          e.Sekvm.Kernel_progs.prog,
-          { e.Sekvm.Kernel_progs.rm_config with
-            Memmodel.Promising.cert_cache } ))
-      kernel_corpus
-  in
-  let t0 = Unix.gettimeofday () in
-  let results = Vrm.Refinement.check_many ~jobs ~por ~sym specs in
-  let wall = Unix.gettimeofday () -. t0 in
-  let visited = ref 0 and pruned = ref 0 in
-  let spawned = ref 0 and stolen = ref 0 in
-  let calls = ref 0 and hits = ref 0 in
-  let stripes = ref 0 and occupancy = ref 0 in
-  let waits = ref 0 and minor = ref 0 in
-  let digests = ref [] and entries = ref [] in
-  List.iter
-    (fun (name, (v : Vrm.Refinement.verdict)) ->
-      let sc = v.Vrm.Refinement.sc_stats
-      and rm = v.Vrm.Refinement.rm_stats in
-      visited := !visited + sc.Memmodel.Engine.visited + rm.Memmodel.Engine.visited;
-      pruned :=
-        !pruned + sc.Memmodel.Engine.por_pruned + rm.Memmodel.Engine.por_pruned;
-      spawned :=
-        !spawned + sc.Memmodel.Engine.tasks_spawned
-        + rm.Memmodel.Engine.tasks_spawned;
-      stolen :=
-        !stolen + sc.Memmodel.Engine.tasks_stolen
-        + rm.Memmodel.Engine.tasks_stolen;
-      calls := !calls + rm.Memmodel.Engine.cert_calls;
-      hits := !hits + rm.Memmodel.Engine.cert_hits;
-      stripes :=
-        max !stripes
-          (max sc.Memmodel.Engine.seen_stripes rm.Memmodel.Engine.seen_stripes);
-      occupancy :=
-        max !occupancy
-          (max sc.Memmodel.Engine.stripe_occupancy
-             rm.Memmodel.Engine.stripe_occupancy);
-      waits :=
-        !waits + sc.Memmodel.Engine.lock_waits + rm.Memmodel.Engine.lock_waits;
-      minor :=
-        !minor + sc.Memmodel.Engine.minor_words
-        + rm.Memmodel.Engine.minor_words;
-      entries :=
-        (name, sc.Memmodel.Engine.wall_s +. rm.Memmodel.Engine.wall_s)
-        :: !entries;
-      digests :=
-        (digest_behaviors v.Vrm.Refinement.sc
-        ^ digest_behaviors v.Vrm.Refinement.rm)
-        :: !digests)
-    results;
-  { sw_label = label;
-    sw_jobs = jobs;
-    sw_wall = wall;
-    sw_visited = !visited;
-    sw_pruned = !pruned;
-    sw_spawned = !spawned;
-    sw_stolen = !stolen;
-    sw_cert_calls = !calls;
-    sw_cert_hits = !hits;
-    sw_stripes = !stripes;
-    sw_occupancy = !occupancy;
-    sw_lock_waits = !waits;
-    sw_minor_words = !minor;
-    sw_digest =
-      Digest.to_hex (Digest.string (String.concat "|" (List.rev !digests)));
-    sw_entries = List.rev !entries }
-
-(* POR on/off per model: states visited, transitions pruned, and
-   result equality. The interleaving models (SC, TSO, Promising) sweep
-   the litmus corpus; the ownership checker (Pushpull) sweeps the kernel
-   corpus, where the verdict — including the exact first violation on
-   the buggy entries — must be identical either way. *)
-let por_rows () =
-  let litmus = Memmodel.Paper_examples.all @ Memmodel.Litmus_suite.all in
-  let side name run =
-    let on, off, pruned, equal =
-      List.fold_left
-        (fun (on, off, pruned, equal) (t : Memmodel.Litmus.t) ->
-          let b_on, (s_on : Memmodel.Engine.stats) = run ~por:true t in
-          let b_off, (s_off : Memmodel.Engine.stats) = run ~por:false t in
-          ( on + s_on.Memmodel.Engine.visited,
-            off + s_off.Memmodel.Engine.visited,
-            pruned + s_on.Memmodel.Engine.por_pruned,
-            equal && Memmodel.Behavior.equal b_on b_off ))
-        (0, 0, 0, true) litmus
-    in
-    (name, on, off, pruned, equal)
-  in
-  let pushpull =
-    let on, off, pruned, equal =
-      List.fold_left
-        (fun (on, off, pruned, equal) (e : Sekvm.Kernel_progs.entry) ->
-          let r_on, (s_on : Memmodel.Engine.stats) =
-            Memmodel.Pushpull.check_stats ~exempt:e.Sekvm.Kernel_progs.exempt
-              ~por:true e.Sekvm.Kernel_progs.prog
-          in
-          let r_off, (s_off : Memmodel.Engine.stats) =
-            Memmodel.Pushpull.check_stats ~exempt:e.Sekvm.Kernel_progs.exempt
-              ~por:false e.Sekvm.Kernel_progs.prog
-          in
-          let same =
-            match (r_on, r_off) with
-            | Memmodel.Pushpull.Drf_ok a, Memmodel.Pushpull.Drf_ok b ->
-                Memmodel.Behavior.equal a b
-            | Memmodel.Pushpull.Drf_violation a, Memmodel.Pushpull.Drf_violation b
-              ->
-                a = b
-            | ( Memmodel.Pushpull.Drf_kernel_panic a,
-                Memmodel.Pushpull.Drf_kernel_panic b ) ->
-                a = b
-            | _ -> false
-          in
-          ( on + s_on.Memmodel.Engine.visited,
-            off + s_off.Memmodel.Engine.visited,
-            pruned + s_on.Memmodel.Engine.por_pruned,
-            equal && same ))
-        (0, 0, 0, true) kernel_corpus
-    in
-    ("pushpull", on, off, pruned, equal)
-  in
-  [ side "sc" (fun ~por t -> Memmodel.Sc.run_stats ~por t.Memmodel.Litmus.prog);
-    side "tso" (fun ~por t ->
-        Memmodel.Tso.run_stats ~fuel:3 ~por t.Memmodel.Litmus.prog);
-    side "promising" (fun ~por t ->
-        Memmodel.Promising.run_stats ?config:t.Memmodel.Litmus.rm_config ~por
-          t.Memmodel.Litmus.prog);
-    pushpull ]
-
-(* ------------------------------------------------------------------ *)
-(* Thread-symmetry reduction: the sym-stress family                    *)
-(* ------------------------------------------------------------------ *)
-
-(* N byte-identical vCPUs hammering one lock word and one PTE slot: the
-   orbit canonicalization must collapse the N! thread renamings of every
-   seen state while landing on bit-identical behavior sets. The
-   committed gate: at N=4 both interleaving models cut visited states by
-   at least 5x, with POR on in both arms, and the ownership checker
-   agrees verdict-for-verdict. *)
-let print_symmetry () : Cache.Json.t =
-  section "Thread-symmetry reduction: N interchangeable vCPUs";
-  Format.printf "%-14s %-9s %9s %9s %8s %8s %8s %s@." "program" "model"
-    "sym-on" "sym-off" "ratio" "on-ms" "off-ms" "digests";
-  let rows =
-    List.concat_map
-      (fun (e : Sekvm.Kernel_progs.entry) ->
-        let prog = e.Sekvm.Kernel_progs.prog in
-        let model name run =
-          let b_on, (s_on : Memmodel.Engine.stats) = run ~sym:true in
-          let b_off, (s_off : Memmodel.Engine.stats) = run ~sym:false in
-          let ratio =
-            float_of_int s_off.Memmodel.Engine.visited
-            /. float_of_int (max 1 s_on.Memmodel.Engine.visited)
-          in
-          let eq = Memmodel.Behavior.equal b_on b_off in
-          Format.printf "%-14s %-9s %9d %9d %7.1fx %8.2f %8.2f %s@."
-            e.Sekvm.Kernel_progs.name name s_on.Memmodel.Engine.visited
-            s_off.Memmodel.Engine.visited ratio
-            (s_on.Memmodel.Engine.wall_s *. 1000.)
-            (s_off.Memmodel.Engine.wall_s *. 1000.)
-            (if eq then "equal" else "DIFFER");
-          (e.Sekvm.Kernel_progs.name, name, s_on, s_off, ratio, eq)
-        in
-        [ model "sc" (fun ~sym -> Memmodel.Sc.run_stats ~sym prog);
-          model "promising" (fun ~sym ->
-              Memmodel.Promising.run_stats
-                ~config:e.Sekvm.Kernel_progs.rm_config ~sym prog) ])
-      Sekvm.Kernel_progs.sym_corpus
-  in
-  (* the ownership checker on the same family: verdict parity *)
-  let pushpull_equal =
-    List.for_all
-      (fun (e : Sekvm.Kernel_progs.entry) ->
-        let run sym =
-          Memmodel.Pushpull.check ~exempt:e.Sekvm.Kernel_progs.exempt
-            ~initial_owners:e.Sekvm.Kernel_progs.initial_owners ~sym
-            e.Sekvm.Kernel_progs.prog
-        in
-        match (run true, run false) with
-        | Memmodel.Pushpull.Drf_ok a, Memmodel.Pushpull.Drf_ok b ->
-            Memmodel.Behavior.equal a b
-        | Memmodel.Pushpull.Drf_violation a, Memmodel.Pushpull.Drf_violation b
-          ->
-            a = b
-        | ( Memmodel.Pushpull.Drf_kernel_panic a,
-            Memmodel.Pushpull.Drf_kernel_panic b ) ->
-            a = b
-        | _ -> false)
-      Sekvm.Kernel_progs.sym_corpus
-  in
-  expect "sym on/off behavior sets bit-identical across the family"
-    (List.for_all (fun (_, _, _, _, _, eq) -> eq) rows && pushpull_equal);
-  expect "every run detected the symmetry group and collapsed states"
-    (List.for_all
-       (fun (_, _, (s : Memmodel.Engine.stats), _, _, _) ->
-         s.Memmodel.Engine.sym_groups > 0
-         && s.Memmodel.Engine.sym_collapsed > 0)
-       rows);
-  let min_ratio_n4 =
-    List.fold_left
-      (fun acc (name, _, _, _, ratio, _) ->
-        if name = "sym-stress-4" then min acc ratio else acc)
-      infinity rows
-  in
-  Format.printf "  N=4 minimum state-cut ratio across models: %.2fx@."
-    min_ratio_n4;
-  expect "at N=4 every model cuts visited states by at least 5x"
-    (min_ratio_n4 >= 5.);
-  Cache.Json.Obj
-    [ ( "rows",
-        Cache.Json.List
-          (List.map
-             (fun ( name,
-                    model,
-                    (s_on : Memmodel.Engine.stats),
-                    (s_off : Memmodel.Engine.stats),
-                    ratio,
-                    eq ) ->
-               Cache.Json.Obj
-                 [ ("name", Cache.Json.String name);
-                   ("model", Cache.Json.String model);
-                   ("visited_sym", Cache.Json.Int s_on.Memmodel.Engine.visited);
-                   ( "visited_nosym",
-                     Cache.Json.Int s_off.Memmodel.Engine.visited );
-                   ("ratio", Cache.Json.Float ratio);
-                   ( "wall_s_sym",
-                     Cache.Json.Float s_on.Memmodel.Engine.wall_s );
-                   ( "wall_s_nosym",
-                     Cache.Json.Float s_off.Memmodel.Engine.wall_s );
-                   ( "sym_groups",
-                     Cache.Json.Int s_on.Memmodel.Engine.sym_groups );
-                   ( "sym_collapsed",
-                     Cache.Json.Int s_on.Memmodel.Engine.sym_collapsed );
-                   ("digest_equal", Cache.Json.Bool eq) ])
-             rows) );
-      ("pushpull_equal", Cache.Json.Bool pushpull_equal);
-      ("min_ratio_n4", Cache.Json.Float min_ratio_n4) ]
-
-let print_engine ?(emit_json = false) ?bmc ?sym () =
-  section "Exploration engine: frontier scheduler, POR oracle, cert cache";
-  (* kernel-corpus refinement sweeps: the frontier scheduler at 1/2/4
-     domains (probe phase corpus-wide, commit phase intra-entry), and
-     the same sweep with the POR oracle disabled at 1 and 4 domains —
-     every configuration must land on one behavior digest. *)
-  let sweep label jobs ?por ?sym ?cert_cache () =
-    let s = refinement_sweep ~label ~jobs ?por ?sym ?cert_cache () in
-    Format.printf
-      "  %-26s %8.3f s %9d states %7d pruned %6d tasks (%d stolen)@." label
-      s.sw_wall s.sw_visited s.sw_pruned s.sw_spawned s.sw_stolen;
-    s
-  in
-  let ws1 = sweep "frontier jobs=1" 1 () in
-  let ws2 = sweep "frontier jobs=2" 2 () in
-  let ws4 = sweep "frontier jobs=4" 4 () in
-  let np1 = sweep "por off jobs=1" 1 ~por:false () in
-  let np4 = sweep "por off jobs=4" 4 ~por:false () in
-  let ns1 = sweep "sym off jobs=1" 1 ~sym:false () in
-  let speedup_vs_seq = ws1.sw_wall /. ws4.sw_wall in
-  let domains = Domain.recommended_domain_count () in
-  Format.printf "  speedup at jobs=4 vs sequential: %.2fx (%d domains)@."
-    speedup_vs_seq domains;
-  (* scaling verdict: with at least 4 hardware threads, the jobs=4 sweep
-     must beat sequential by 1.3x. On smaller machines every domain
-     multiplexes onto the same cores and the comparison would be vacuous,
-     so the verdict is recorded as "skipped" — deliberately distinct from
-     "true" so downstream checks can tell "passed" from "not measured".
-     The digests below remain the correctness gate either way. *)
-  let scaling_verdict =
-    if domains < 4 then "skipped"
-    else if speedup_vs_seq >= 1.3 then "true"
-    else "false"
-  in
-  (match scaling_verdict with
-  | "false" ->
-      Format.printf
-        "  *** WARNING: PARALLEL SCALING BELOW THRESHOLD: jobs=4 speedup \
-         %.2fx < 1.30x on a %d-domain machine ***@."
-        speedup_vs_seq domains;
-      Format.printf
-        "  *** the frontier scheduler is not paying for itself; check \
-         BENCH_entries.json for the dominating entries ***@."
-  | "skipped" ->
-      Format.printf
-        "  (scaling check skipped: %d hardware domains < 4)@." domains
-  | _ -> ());
-  expect
-    "all sweep configurations (jobs, POR, sym) produce bit-identical       behavior sets"
-    (List.for_all
-       (fun s -> s.sw_digest = ws1.sw_digest)
-       [ ws2; ws4; np1; np4; ns1 ]);
-  expect "POR prunes transitions on the kernel corpus" (ws1.sw_pruned > 0);
-  (* seen-set internals at jobs=4: stripe spread, contention, allocation *)
-  Format.printf
-    "  seen set (jobs=4): %d stripes, deepest %d keys, %d contended           acquisitions, %.1f M minor words@."
-    ws4.sw_stripes ws4.sw_occupancy ws4.sw_lock_waits
-    (float_of_int ws4.sw_minor_words /. 1e6);
-  expect "seen-set stripes populated and occupancy sane"
-    (ws4.sw_stripes > 0 && ws4.sw_occupancy > 0
-    && ws4.sw_occupancy <= ws4.sw_visited);
-  (* certification memoization: the same sequential sweep with the cert
-     cache disabled — behavior digests must be bit-identical, and the
-     cached run must answer at least half its certification queries from
-     the cache for the memoization to carry its weight. *)
-  let nc =
-    refinement_sweep ~label:"cert-cache off (jobs=1)" ~jobs:1
-      ~cert_cache:false ()
-  in
-  let cert_ratio =
-    if ws1.sw_cert_calls = 0 then 0.
-    else float_of_int ws1.sw_cert_hits /. float_of_int ws1.sw_cert_calls
-  in
-  Format.printf
-    "  cert cache: %d/%d queries memoized (%.0f%%); sweep %.3f s cached \
-     vs %.3f s uncached@."
-    ws1.sw_cert_hits ws1.sw_cert_calls (cert_ratio *. 100.) ws1.sw_wall
-    nc.sw_wall;
-  expect "cert-cache on/off behavior digests are bit-identical"
-    (nc.sw_digest = ws1.sw_digest);
-  expect "cert cache answers at least half the certification queries"
-    (cert_ratio >= 0.5);
-  (* the POR oracle, per model *)
-  let por = por_rows () in
-  List.iter
-    (fun (name, on, off, pruned, equal) ->
-      Format.printf
-        "  POR %-9s: %8d states (exact %8d), %6d pruned, results %s@."
-        name on off pruned
-        (if equal then "equal" else "DIFFER"))
-    por;
-  expect "POR strictly reduces visited states and preserves results"
-    (List.for_all (fun (_, on, off, _, equal) -> on < off && equal) por);
-  expect "POR prunes under Promising and Pushpull (the model-generic oracle)"
-    (List.for_all
-       (fun model ->
-         match List.find_opt (fun (n, _, _, _, _) -> n = model) por with
-         | Some (_, _, _, pruned, _) -> pruned > 0
-         | None -> false)
-       [ "promising"; "pushpull" ]);
-  (* state-key microbenchmark: legacy string keys vs interned hashes *)
-  let keyprog =
-    (List.hd kernel_corpus).Sekvm.Kernel_progs.prog
-  in
-  let legacy_s, interned_s, sample =
-    Memmodel.Promising.key_microbench ~iters:200 keyprog
-  in
-  Format.printf
-    "  state keys (%d states x 200): string %.4f s, interned %.4f s         (%.1fx)@."
-    sample legacy_s interned_s
-    (legacy_s /. interned_s);
-  expect "key microbench sampled states" (sample > 0);
-  if emit_json then begin
-    let j =
-      Cache.Json.Obj
-        ([ ("schema", Cache.Json.String "vrm-bench-engine/5");
-          ("engine_version", Cache.Json.String Memmodel.Engine.version);
-          ( "refinement_sweep",
-            Cache.Json.List
-              (List.map
-                 (fun s ->
-                   Cache.Json.Obj
-                     [ ("label", Cache.Json.String s.sw_label);
-                       ("jobs", Cache.Json.Int s.sw_jobs);
-                       ("wall_s", Cache.Json.Float s.sw_wall);
-                       ("visited", Cache.Json.Int s.sw_visited);
-                       ("por_pruned", Cache.Json.Int s.sw_pruned);
-                       ("tasks_spawned", Cache.Json.Int s.sw_spawned);
-                       ("tasks_stolen", Cache.Json.Int s.sw_stolen);
-                       ("cert_calls", Cache.Json.Int s.sw_cert_calls);
-                       ("cert_hits", Cache.Json.Int s.sw_cert_hits);
-                       ("seen_stripes", Cache.Json.Int s.sw_stripes);
-                       ("stripe_occupancy", Cache.Json.Int s.sw_occupancy);
-                       ("lock_waits", Cache.Json.Int s.sw_lock_waits);
-                       ("minor_words", Cache.Json.Int s.sw_minor_words);
-                       ("digest", Cache.Json.String s.sw_digest) ])
-                 [ ws1; ws2; ws4; np1; np4; ns1 ]) );
-          ("speedup_jobs4_vs_seq", Cache.Json.Float speedup_vs_seq);
-          ("domains", Cache.Json.Int domains);
-          ("scaling_ok", Cache.Json.String scaling_verdict);
-          ( "cert_cache",
-            Cache.Json.Obj
-              [ ("cert_calls", Cache.Json.Int ws1.sw_cert_calls);
-                ("cert_hits", Cache.Json.Int ws1.sw_cert_hits);
-                ("hit_ratio", Cache.Json.Float cert_ratio);
-                ("wall_s_cached", Cache.Json.Float ws1.sw_wall);
-                ("wall_s_uncached", Cache.Json.Float nc.sw_wall);
-                ( "digest_equal_on_off",
-                  Cache.Json.Bool (nc.sw_digest = ws1.sw_digest) ) ] );
-          ( "por",
-            Cache.Json.Obj
-              (List.map
-                 (fun (name, on, off, pruned, equal) ->
-                   ( name,
-                     Cache.Json.Obj
-                       [ ("visited_por", Cache.Json.Int on);
-                         ("visited_exact", Cache.Json.Int off);
-                         ("pruned", Cache.Json.Int pruned);
-                         ("results_equal", Cache.Json.Bool equal) ] ))
-                 por) );
-          ( "key_microbench",
-            Cache.Json.Obj
-              [ ("sample_states", Cache.Json.Int sample);
-                ("legacy_s", Cache.Json.Float legacy_s);
-                ("interned_s", Cache.Json.Float interned_s);
-                ( "speedup",
-                  Cache.Json.Float (legacy_s /. interned_s) ) ] ) ]
-        @ (match sym with Some s -> [ ("symmetry", s) ] | None -> [])
-        @ match bmc with Some b -> [ ("bmc", b) ] | None -> [])
-    in
-    let text = Cache.Json.to_string j in
-    let oc = open_out "BENCH_engine.json" in
-    output_string oc text;
-    output_char oc '\n';
-    close_out oc;
-    (* self-validate: the file must round-trip through the strict parser *)
-    let ic = open_in "BENCH_engine.json" in
-    let len = in_channel_length ic in
-    let body = really_input_string ic len in
-    close_in ic;
-    (match Cache.Json.of_string (String.trim body) with
-    | Ok j' ->
-        expect "BENCH_engine.json round-trips bit-identically"
-          (Cache.Json.to_string j' = text)
-    | Error e -> expect ("BENCH_engine.json parses: " ^ e) false);
-    Format.printf "  wrote BENCH_engine.json@.";
-    (* per-entry timing artifact (uploaded by CI, not committed): one
-       wall time per corpus entry per sweep configuration *)
-    let entries_j =
-      Cache.Json.Obj
-        [ ("schema", Cache.Json.String "vrm-bench-entries/2");
-          ("engine_version", Cache.Json.String Memmodel.Engine.version);
-          ( "sweeps",
-            Cache.Json.List
-              (List.map
-                 (fun s ->
-                   Cache.Json.Obj
-                     [ ("label", Cache.Json.String s.sw_label);
-                       ("jobs", Cache.Json.Int s.sw_jobs);
-                       ("wall_s", Cache.Json.Float s.sw_wall);
-                       ( "entries",
-                         Cache.Json.List
-                           (List.map
-                              (fun (name, w) ->
-                                Cache.Json.Obj
-                                  [ ("name", Cache.Json.String name);
-                                    ("wall_s", Cache.Json.Float w) ])
-                              s.sw_entries) ) ])
-                 [ ws1; ws2; ws4; np1; np4; ns1; nc ]) ) ]
-    in
-    let oc = open_out "BENCH_entries.json" in
-    output_string oc (Cache.Json.to_string entries_j);
-    output_char oc '\n';
-    close_out oc;
-    Format.printf "  wrote BENCH_entries.json@."
-  end
-
-(* ------------------------------------------------------------------ *)
-(* BMC backend: SAT-based decision vs explicit enumeration             *)
-(* ------------------------------------------------------------------ *)
-
-(* N writer threads all storing 1 to [x], one reader loading [x] twice.
-   The explicit SC enumerator's state space grows as ~2^N (same-location
-   writes conflict, so POR cannot commute them), while the behavior set
-   is always the same 3 outcomes — (r0,r1) ∈ {(0,0),(0,1),(1,1)};
-   (1,0) is forbidden by coherence. The SAT backend's work scales with
-   the number of observationally distinct models, not interleavings, so
-   it finishes in milliseconds at any N. *)
-let bmc_family n =
-  let x = Memmodel.Expr.at "x" in
-  let r0 = Memmodel.Reg.v "r0" and r1 = Memmodel.Reg.v "r1" in
-  let writers =
-    List.init n (fun i ->
-        Memmodel.Prog.thread (i + 2) [ Memmodel.Instr.store x (Memmodel.Expr.c 1) ])
-  in
-  let reader =
-    Memmodel.Prog.thread 1
-      [ Memmodel.Instr.load r0 x; Memmodel.Instr.load r1 x ]
-  in
-  Memmodel.Prog.make
-    ~name:(Printf.sprintf "bmc-writers-%d" n)
-    ~observables:[ Memmodel.Prog.Obs_reg (1, r0); Memmodel.Prog.Obs_reg (1, r1) ]
-    (reader :: writers)
-
-let print_bmc () : Cache.Json.t =
-  section "BMC backend: SAT-based decision vs explicit enumeration";
-  (* litmus suite: wall time and digest parity, both memory models *)
-  let suite = Memmodel.Litmus_suite.all in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let parity = ref true in
-  let t_explicit = ref 0. and t_bmc = ref 0. in
-  List.iter
-    (fun (t : Memmodel.Litmus.t) ->
-      let prog = t.Memmodel.Litmus.prog in
-      let sc_ref, t1 = time (fun () -> Memmodel.Sc.run prog) in
-      let rm_ref, t2 = time (fun () -> Memmodel.Axiomatic.run prog) in
-      let sc_bmc, t3 = time (fun () -> Bmc.run_sc prog) in
-      let rm_bmc, t4 = time (fun () -> Bmc.run prog) in
-      t_explicit := !t_explicit +. t1 +. t2;
-      t_bmc := !t_bmc +. t3 +. t4;
-      if
-        not
-          (Memmodel.Behavior.equal sc_ref sc_bmc
-          && Memmodel.Behavior.equal rm_ref rm_bmc)
-      then begin
-        parity := false;
-        Format.printf "  DIVERGENCE on %s@." prog.Memmodel.Prog.name
-      end)
-    suite;
-  Format.printf
-    "  litmus suite (%d tests, SC + Arm): explicit %.3f s, bmc %.3f s@."
-    (List.length suite) !t_explicit !t_bmc;
-  expect "BMC and explicit engines agree on every litmus-suite behavior set"
-    !parity;
-  (* the high-interleaving family: escalate N until the explicit SC
-     enumerator blows a 0.5 s budget; BMC must decide that same N
-     completely. The state space is ~2^N, so the escalation is
-     guaranteed to terminate on any machine. The N writers are
-     byte-identical, so thread-symmetry reduction collapses the family
-     to O(N) canonical states — run the explicit side with [~sym:false]
-     to keep the contrast about enumerating interleavings (the symmetry
-     win on this family is measured in its own section). *)
-  let budget = 0.5 in
-  let rec escalate = function
-    | [] -> None
-    | n :: rest ->
-        let prog = bmc_family n in
-        let deadline = Unix.gettimeofday () +. budget in
-        let _, (sc_stats : Memmodel.Engine.stats) =
-          Memmodel.Sc.run_stats ~deadline ~sym:false prog
-        in
-        let r = Bmc.check ~mode:Bmc.Sc prog in
-        let outcomes = Memmodel.Behavior.cardinal r.Bmc.behaviors in
-        Format.printf
-          "  N=%-3d explicit: %8d states %s %6.3f s   bmc: %d outcomes \
-           %s %6.3f s@."
-          n sc_stats.Memmodel.Engine.visited
-          (if sc_stats.Memmodel.Engine.budget_hit then "BUDGET-HIT"
-           else "complete  ")
-          sc_stats.Memmodel.Engine.wall_s outcomes
-          (if r.Bmc.complete then "complete" else "bounded")
-          r.Bmc.wall_s;
-        if sc_stats.Memmodel.Engine.budget_hit then
-          Some (n, r.Bmc.complete && outcomes = 3, r.Bmc.wall_s)
-        else escalate rest
-  in
-  let family = escalate [ 14; 18; 22; 26 ] in
-  (match family with
-  | Some (n, bmc_ok, wall) ->
-      expect
-        (Printf.sprintf
-           "N=%d writers: explicit enumerator exceeds its %.1fs budget; \
-            BMC decides it completely (3 outcomes, %.3fs)"
-           n budget wall)
-        bmc_ok
-  | None ->
-      expect
-        "explicit enumerator exceeds its budget somewhere in the family"
-        false);
-  Cache.Json.Obj
-    [ ("suite_tests", Cache.Json.Int (List.length suite));
-      ("suite_parity", Cache.Json.Bool !parity);
-      ("suite_wall_s_explicit", Cache.Json.Float !t_explicit);
-      ("suite_wall_s_bmc", Cache.Json.Float !t_bmc);
-      ( "family",
-        match family with
-        | Some (n, bmc_ok, wall) ->
-            Cache.Json.Obj
-              [ ("writers", Cache.Json.Int n);
-                ("explicit_budget_s", Cache.Json.Float budget);
-                ("explicit_budget_hit", Cache.Json.Bool true);
-                ("bmc_complete_3_outcomes", Cache.Json.Bool bmc_ok);
-                ("bmc_wall_s", Cache.Json.Float wall) ]
-        | None -> Cache.Json.Null ) ]
-
-(* ------------------------------------------------------------------ *)
-(* vrmd: the verification service, cold vs warm cache                  *)
-(* ------------------------------------------------------------------ *)
-
-let service_corpus () =
-  List.map
-    (fun (t : Memmodel.Litmus.t) -> Service.Scheduler.Litmus_spec t)
-    (Memmodel.Paper_examples.all @ Memmodel.Litmus_suite.all)
-  @ List.map
-      (fun e -> Service.Scheduler.Refine_spec e)
-      (Sekvm.Kernel_progs.corpus @ Sekvm.Kernel_progs.buggy_corpus)
-
-let print_service () =
-  section "vrmd service: whole-corpus verification, cold vs warm cache";
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vrmd-bench-%d" (Unix.getpid ()))
-  in
-  let specs = service_corpus () in
-  let round label =
-    (* A fresh store on the same directory: the second round starts with
-       an empty memory table and is served entirely from disk. *)
-    let cache =
-      Cache.Store.create ~dir ~engine_version:Memmodel.Engine.version ()
-    in
-    let sched = Service.Scheduler.create ~workers:4 ~cache () in
-    let t0 = Unix.gettimeofday () in
-    let tickets = List.map (Service.Scheduler.submit sched) specs in
-    let outcomes = List.map (Service.Scheduler.await sched) tickets in
-    let wall = Unix.gettimeofday () -. t0 in
-    let c = Service.Scheduler.counters sched in
-    Service.Scheduler.shutdown sched;
-    Format.printf
-      "  %-5s %3d jobs in %6.2fs: %d explored states, %d cache hits, %d       misses@."
-      label c.Service.Scheduler.submitted wall
-      c.Service.Scheduler.engine.Memmodel.Engine.visited
-      c.Service.Scheduler.cache_stats.Cache.Store.hits
-      c.Service.Scheduler.cache_stats.Cache.Store.misses;
-    (outcomes, c)
-  in
-  let cold, cc = round "cold" in
-  let warm, wc = round "warm" in
-  (* Third round: same scheduler, corpus submitted twice. The first
-     pass promotes every disk entry into the sharded hot tier; the
-     second pass must be served entirely from memory (no disk open, no
-     checksum). A fresh store per round (above) can never show this —
-     its hot tier starts empty — so this is the only round where
-     hot_hits can be non-zero. *)
-  let hot, hc =
-    let cache =
-      Cache.Store.create ~dir ~engine_version:Memmodel.Engine.version ()
-    in
-    let sched = Service.Scheduler.create ~workers:4 ~cache () in
-    let pass () =
-      let tickets = List.map (Service.Scheduler.submit sched) specs in
-      List.map (Service.Scheduler.await sched) tickets
-    in
-    ignore (pass ());
-    let t0 = Unix.gettimeofday () in
-    let outcomes = pass () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let c = Service.Scheduler.counters sched in
-    Service.Scheduler.shutdown sched;
-    let h = c.Service.Scheduler.hot_stats in
-    Format.printf
-      "  %-5s %3d jobs in %6.2fs: %d hot hits, %d disk hits, %d evictions \
-       (%d/%d resident)@."
-      "hot"
-      (List.length specs)
-      wall h.Cache.Hot.hot_hits h.Cache.Hot.disk_hits h.Cache.Hot.evictions
-      h.Cache.Hot.size h.Cache.Hot.capacity;
-    (outcomes, c)
-  in
-  (* remove the temp store before any expectation can bail out *)
-  (try
-     Array.iter
-       (fun f -> Sys.remove (Filename.concat dir f))
-       (Sys.readdir dir);
-     Unix.rmdir dir
-   with _ -> ());
-  let done_payloads outs =
-    List.map
-      (function
-        | Service.Scheduler.Done p, _ -> Cache.Json.to_string p
-        | _ -> "(not done)")
-      outs
-  in
-  expect "every corpus job completes on both rounds"
-    (List.for_all
-       (function Service.Scheduler.Done _, _ -> true | _ -> false)
-       (cold @ warm));
-  expect "warm round serves the whole corpus from cache (0 states explored)"
-    (wc.Service.Scheduler.engine.Memmodel.Engine.visited = 0
-    && wc.Service.Scheduler.cache_stats.Cache.Store.hits = List.length specs
-    && wc.Service.Scheduler.cache_stats.Cache.Store.misses = 0);
-  expect "cold round explored states (the cache was actually empty)"
-    (cc.Service.Scheduler.engine.Memmodel.Engine.visited > 0);
-  expect "warm payloads are bit-identical to cold payloads"
-    (done_payloads cold = done_payloads warm);
-  let h = hc.Service.Scheduler.hot_stats in
-  expect "hot round pass 2 is served from memory (hot hits = corpus size)"
-    (h.Cache.Hot.hot_hits = List.length specs
-    && h.Cache.Hot.disk_hits = List.length specs
-    && hc.Service.Scheduler.engine.Memmodel.Engine.visited = 0);
-  expect "hot-tier payloads are bit-identical to the disk-tier payloads"
-    (done_payloads hot = done_payloads warm)
 
 (* ------------------------------------------------------------------ *)
 (* Static wDRF lint vs exhaustive refinement check                     *)
@@ -1415,38 +655,18 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  if List.mem "--json" argv then begin
-    (* engine + BMC sections only: write and validate BENCH_engine.json.
-       Assertions in this mode are on counts, digests and the BMC/explicit
-       budget contrast (which only widens on slower machines) — safe for
-       CI smoke runs on noisy machines. *)
-    let bmc = print_bmc () in
-    let sym = print_symmetry () in
-    print_engine ~emit_json:true ~bmc ~sym ();
-    section "Summary";
-    Format.printf "all shape checks passed: %b@." !all_ok;
-    if not !all_ok then exit 1
-  end
-  else begin
-    print_examples ();
-    print_table1 ();
-    print_table3 ();
-    print_fig8 ();
-    print_fig9 ();
-    print_theorems ();
-    print_ablations ();
-    print_stress ();
-    print_parallel ();
-    print_engine ();
-    ignore (print_symmetry ());
-    ignore (print_bmc ());
-    print_service ();
-    print_lint ();
-    print_absint ();
-    print_certification ();
-    run_bechamel ();
-    section "Summary";
-    Format.printf "all shape checks passed: %b@." !all_ok;
-    if not !all_ok then exit 1
-  end
+  print_examples ();
+  print_table1 ();
+  print_table3 ();
+  print_fig8 ();
+  print_fig9 ();
+  print_theorems ();
+  print_ablations ();
+  print_stress ();
+  print_lint ();
+  print_absint ();
+  print_certification ();
+  run_bechamel ();
+  section "Summary";
+  Format.printf "all shape checks passed: %b@." !all_ok;
+  if not !all_ok then exit 1

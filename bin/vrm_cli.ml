@@ -338,7 +338,8 @@ let stress_cmd =
   let run n_vms rounds =
     let s = Vrm.Scenario.stress_run ~n_vms ~rounds () in
     Format.printf
-      "%d VMs x %d rounds: %d guest ops, %d stage-2 faults, %d hypercalls,        %d vIPIs; invariants held at every checkpoint@."
+      "%d VMs x %d rounds: %d guest ops, %d stage-2 faults, %d hypercalls, \
+       %d vIPIs; invariants held at every checkpoint@."
       s.Vrm.Scenario.st_vms s.Vrm.Scenario.st_rounds
       s.Vrm.Scenario.st_guest_ops s.Vrm.Scenario.st_s2_faults
       s.Vrm.Scenario.st_hypercalls s.Vrm.Scenario.st_vipis
@@ -393,7 +394,8 @@ let migrate_cmd =
          with
         | [ Sekvm.Vm.R_value 777 ] ->
             Format.printf
-              "migrated VM %d -> VM %d: guest state intact; invariants:                src %d, dst %d violations@."
+              "migrated VM %d -> VM %d: guest state intact; invariants: \
+               src %d, dst %d violations@."
               vmid new_vmid
               (List.length (Sekvm.Kcore.check_invariants src))
               (List.length (Sekvm.Kcore.check_invariants dst))
@@ -1032,395 +1034,6 @@ let cache_gc_cmd =
        ~doc:"evict least-recently-used entries from a result-cache directory")
     Term.(const run $ cache_dir $ max_entries)
 
-(* ------------------------------------------------------------------ *)
-(* bench-serve: the multi-tenant serving benchmark                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Nearest-rank percentile over an ascending array of samples. *)
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    sorted.(max 0 (min (n - 1) (int_of_float (ceil (float n *. p /. 100.)) - 1)))
-
-(* The warm-path micro-measurement behind the hot-tier acceptance gate:
-   the p50 cost of serving one warm entry from the sharded memory tier
-   vs re-reading (open + checksum + parse) it from disk. Single calls
-   sit at the clock's resolution, so each sample times a batch. *)
-let warm_path_micro () =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "vrmd-warmpath-%d" (Unix.getpid ()))
-  in
-  let store =
-    Cache.Store.create ~dir ~engine_version:Memmodel.Engine.version ()
-  in
-  let spec =
-    Service.Scheduler.Litmus_spec Memmodel.Paper_examples.mp_plain
-  in
-  let key = Service.Scheduler.cache_key spec in
-  let payload =
-    Cache.Codec.litmus_to_json
-      (Cache.Codec.litmus_summary
-         (Memmodel.Litmus.run Memmodel.Paper_examples.mp_plain))
-  in
-  Cache.Store.add store key payload;
-  let hot = Cache.Hot.create store in
-  ignore (Cache.Hot.find hot key);
-  let samples = 60 and batch = 200 in
-  let time_batches f =
-    Array.init samples (fun _ ->
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to batch do
-          ignore (f ())
-        done;
-        (Unix.gettimeofday () -. t0) /. float batch *. 1e6)
-  in
-  let hot_us = time_batches (fun () -> Cache.Hot.find hot key) in
-  let disk_us = time_batches (fun () -> Cache.Store.find store key) in
-  Array.sort compare hot_us;
-  Array.sort compare disk_us;
-  (try
-     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-     Unix.rmdir dir
-   with _ -> ());
-  let hot_p50 = Float.max 1e-3 (percentile hot_us 50.) in
-  let disk_p50 = percentile disk_us 50. in
-  (hot_p50, disk_p50, disk_p50 /. hot_p50)
-
-let bench_serve_cmd =
-  let requests =
-    Arg.(
-      value & opt int 2000
-      & info [ "requests" ] ~docv:"N"
-          ~doc:"total requests across all client threads")
-  in
-  let clients =
-    Arg.(
-      value & opt int 8
-      & info [ "clients" ] ~docv:"M"
-          ~doc:"concurrent client threads, one connection each")
-  in
-  let workers =
-    Arg.(
-      value & opt int 0
-      & info [ "workers" ] ~docv:"N"
-          ~doc:"daemon worker domains (0 = one per available core)")
-  in
-  let bulk_depth =
-    Arg.(
-      value & opt int 4
-      & info [ "bulk-depth" ] ~docv:"N"
-          ~doc:
-            "bulk lane queue bound; small enough that concurrent bulk \
-             clients saturate it and observe load-shedding")
-  in
-  let json_path =
-    Arg.(
-      value & opt string "BENCH_service.json"
-      & info [ "json" ] ~docv:"PATH" ~doc:"write the result object to $(docv)")
-  in
-  let run requests clients workers bulk_depth json_path =
-    let tmp =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "vrmd-bench-serve-%d" (Unix.getpid ()))
-    in
-    let socket = tmp ^ ".sock" in
-    let cache_dir = tmp ^ ".cache" in
-    let cache =
-      Cache.Store.create ~dir:cache_dir
-        ~engine_version:Memmodel.Engine.version ()
-    in
-    let sched =
-      Service.Scheduler.create
-        ?workers:(if workers <= 0 then None else Some workers)
-        ~cache ~bulk_depth ()
-    in
-    let server =
-      Thread.create (fun () -> Service.Server.serve ~socket sched) ()
-    in
-    let rec wait n =
-      if n = 0 then begin
-        Format.eprintf "bench-serve: daemon did not come up@.";
-        exit 1
-      end;
-      if not (Sys.file_exists socket) then begin
-        Thread.delay 0.05;
-        wait (n - 1)
-      end
-    in
-    wait 100;
-    (* Workload: interactive requests replay the warm litmus corpus (a
-       refinement job every 16th request); bulk requests do the same,
-       except that every 4th one flips a flag combination — a distinct
-       cache key, hence a cold exploration. The cold work lands only on
-       the bulk lane, so it is the bulk lane that saturates and sheds,
-       while interactive requests measure the fleet's serving latency
-       under that pressure. *)
-    let names =
-      Array.of_list
-        (List.map
-           (fun (t : Memmodel.Litmus.t) ->
-             t.Memmodel.Litmus.prog.Memmodel.Prog.name)
-           (Memmodel.Paper_examples.all @ Memmodel.Litmus_suite.all))
-    in
-    let job_of i =
-      if i mod 16 = 7 then Service.Protocol.Refine "gen_vmid"
-      else Service.Protocol.Litmus names.(i mod Array.length names)
-    in
-    (* bulk-heavy, like a fleet mostly running corpus sweeps: three
-       bulk requests for every interactive one, so concurrent bulk
-       submissions can actually outrun the lane bound and shed *)
-    let lane_of i =
-      if i mod 4 = 0 then Service.Protocol.Interactive
-      else Service.Protocol.Bulk
-    in
-    (* (cert_cache, por, sym) combinations other than the default: each
-       (name, combo) pair keys its own cache entry *)
-    let variants =
-      [| (false, true, true); (true, false, true); (true, true, false);
-         (false, false, true); (false, true, false); (true, false, false);
-         (false, false, false) |]
-    in
-    let flags_of i lane =
-      if lane = Service.Protocol.Bulk && i mod 8 = 1 then
-        variants.(i / 8 mod Array.length variants)
-      else (true, true, true)
-    in
-    (* warm-up: one pass over the default-flag working set, untimed, so
-       the measured phase starts with the hot tier populated *)
-    Service.Client.with_connection ~socket (fun fd ->
-        let warm job =
-          ignore
-            (Service.Client.roundtrip fd
-               (Service.Protocol.Submit
-                  { job; jobs = 1; deadline_s = None;
-                    backend = Service.Protocol.Explicit; cert_cache = true;
-                    por = true; sym = true;
-                    lane = Service.Protocol.Interactive }))
-        in
-        Array.iter (fun n -> warm (Service.Protocol.Litmus n)) names;
-        warm (Service.Protocol.Refine "gen_vmid"));
-    let per_thread = Array.make (max 1 clients) [] in
-    let t_start = Unix.gettimeofday () in
-    let threads =
-      List.init (max 1 clients) (fun c ->
-          Thread.create
-            (fun () ->
-              Service.Client.with_connection ~socket (fun fd ->
-                  let acc = ref [] in
-                  let i = ref c in
-                  while !i < requests do
-                    let job = job_of !i and lane = lane_of !i in
-                    let cert_cache, por, sym = flags_of !i lane in
-                    let t0 = Unix.gettimeofday () in
-                    let out =
-                      match
-                        Service.Client.roundtrip fd
-                          (Service.Protocol.Submit
-                             { job; jobs = 1; deadline_s = None;
-                               backend = Service.Protocol.Explicit;
-                               cert_cache; por; sym; lane })
-                      with
-                      | Service.Protocol.Result _ -> `Done
-                      | Service.Protocol.Overloaded_r _ -> `Shed
-                      | Service.Protocol.Error_r _
-                      | Service.Protocol.Status_r _ | Service.Protocol.Bye ->
-                          `Err
-                    in
-                    let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-                    acc := (lane, ms, out) :: !acc;
-                    i := !i + max 1 clients
-                  done;
-                  per_thread.(c) <- !acc))
-            ())
-    in
-    List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t_start in
-    let all = Array.to_list per_thread |> List.concat in
-    (* Digest parity, warm against the hot tier: every payload the
-       daemon serves must match a local no-cache recomputation. *)
-    let parity_jobs =
-      Service.Protocol.Refine "gen_vmid"
-      :: List.map
-           (fun i -> Service.Protocol.Litmus names.(i))
-           [ 0; 1; 2; 3; 4 ]
-    in
-    let parity_failures = ref 0 in
-    List.iter
-      (fun job ->
-        match Service.Client.submit ~socket job with
-        | Error msg ->
-            incr parity_failures;
-            Format.eprintf "bench-serve: parity submit failed: %s@." msg
-        | Ok payload -> (
-            match
-              verify_payload ~backend:Service.Protocol.Explicit job
-                (Cache.Json.member "data" payload)
-            with
-            | Ok () -> ()
-            | Error msg ->
-                incr parity_failures;
-                Format.eprintf "bench-serve: DIGEST MISMATCH: %s@." msg))
-      parity_jobs;
-    let c = Service.Scheduler.counters sched in
-    (match Service.Client.shutdown ~socket with
-    | Ok () -> ()
-    | Error msg -> Format.eprintf "bench-serve: shutdown failed: %s@." msg);
-    Thread.join server;
-    (try
-       Array.iter
-         (fun f -> Sys.remove (Filename.concat cache_dir f))
-         (Sys.readdir cache_dir);
-       Unix.rmdir cache_dir
-     with _ -> ());
-    (* per-lane aggregates; shed and errored requests return without
-       computing, so only completed ones enter the latency percentiles *)
-    let lane_stats lane =
-      let mine = List.filter (fun (l, _, _) -> l = lane) all in
-      let completed =
-        List.filter_map
-          (fun (_, ms, out) -> if out = `Done then Some ms else None)
-          mine
-      in
-      let shed =
-        List.length (List.filter (fun (_, _, out) -> out = `Shed) mine)
-      in
-      let errors =
-        List.length (List.filter (fun (_, _, out) -> out = `Err) mine)
-      in
-      let sorted = Array.of_list completed in
-      Array.sort compare sorted;
-      ( List.length mine, Array.length sorted, shed, errors,
-        percentile sorted 50., percentile sorted 90., percentile sorted 99. )
-    in
-    let i_req, i_done, i_shed, i_err, i_p50, i_p90, i_p99 =
-      lane_stats Service.Protocol.Interactive
-    in
-    let b_req, b_done, b_shed, b_err, b_p50, b_p90, b_p99 =
-      lane_stats Service.Protocol.Bulk
-    in
-    let hot_total =
-      c.Service.Scheduler.hot_stats.Cache.Hot.hot_hits
-      + c.Service.Scheduler.hot_stats.Cache.Hot.disk_hits
-      + c.Service.Scheduler.hot_stats.Cache.Hot.misses
-    in
-    let hit_ratio =
-      if hot_total = 0 then 0.
-      else
-        float c.Service.Scheduler.hot_stats.Cache.Hot.hot_hits
-        /. float hot_total
-    in
-    let hot_p50_us, disk_p50_us, speedup = warm_path_micro () in
-    (* With the bulk lane saturated by cold work, interactive latency
-       must stay bounded: its tail cannot degrade to the bulk lane's
-       queueing tail. Only meaningful once both lanes have enough
-       samples for a stable p99. *)
-    let interactive_bounded =
-      if i_done >= 50 && b_done >= 50 then i_p99 <= b_p99 else true
-    in
-    let lane_json (req, done_, shed, err, p50, p90, p99) =
-      Cache.Json.Obj
-        [ ("requests", Cache.Json.Int req);
-          ("completed", Cache.Json.Int done_);
-          ("shed", Cache.Json.Int shed);
-          ("errors", Cache.Json.Int err);
-          ("p50_ms", Cache.Json.Float p50);
-          ("p90_ms", Cache.Json.Float p90);
-          ("p99_ms", Cache.Json.Float p99) ]
-    in
-    let result =
-      Cache.Json.Obj
-        [ ("schema", Cache.Json.String "vrm-bench-service");
-          ("version", Cache.Json.Int 1);
-          ("engine", Cache.Json.String Memmodel.Engine.version);
-          ("requests", Cache.Json.Int requests);
-          ("clients", Cache.Json.Int (max 1 clients));
-          ("workers", Cache.Json.Int c.Service.Scheduler.workers);
-          ("bulk_depth", Cache.Json.Int bulk_depth);
-          ("wall_s", Cache.Json.Float wall);
-          ( "throughput_rps",
-            Cache.Json.Float
-              (if wall > 0. then float requests /. wall else 0.) );
-          ( "lanes",
-            Cache.Json.Obj
-              [ ( "interactive",
-                  lane_json (i_req, i_done, i_shed, i_err, i_p50, i_p90, i_p99)
-                );
-                ( "bulk",
-                  lane_json (b_req, b_done, b_shed, b_err, b_p50, b_p90, b_p99)
-                ) ] );
-          ("shed_total", Cache.Json.Int (i_shed + b_shed));
-          ("unexplained_sheds", Cache.Json.Int i_shed);
-          ("hot_hit_ratio", Cache.Json.Float hit_ratio);
-          ( "hot",
-            Cache.Hot.counters_to_json c.Service.Scheduler.hot_stats );
-          ( "cache",
-            Cache.Json.Obj
-              [ ("hits", Cache.Json.Int c.Service.Scheduler.cache_stats.Cache.Store.hits);
-                ("misses", Cache.Json.Int c.Service.Scheduler.cache_stats.Cache.Store.misses);
-                ("stores", Cache.Json.Int c.Service.Scheduler.cache_stats.Cache.Store.stores);
-                ("corrupt", Cache.Json.Int c.Service.Scheduler.cache_stats.Cache.Store.corrupt) ] );
-          ("coalesced", Cache.Json.Int c.Service.Scheduler.coalesced);
-          ("batches", Cache.Json.Int c.Service.Scheduler.batches);
-          ("batched", Cache.Json.Int c.Service.Scheduler.batched);
-          ("digest_parity", Cache.Json.Bool (!parity_failures = 0));
-          ("parity_checked", Cache.Json.Int (List.length parity_jobs));
-          ( "warm_path",
-            Cache.Json.Obj
-              [ ("hot_p50_us", Cache.Json.Float hot_p50_us);
-                ("disk_p50_us", Cache.Json.Float disk_p50_us);
-                ("speedup", Cache.Json.Float speedup) ] );
-          ("interactive_bounded", Cache.Json.Bool interactive_bounded) ]
-    in
-    let oc = open_out json_path in
-    output_string oc (Cache.Json.to_string result);
-    output_string oc "\n";
-    close_out oc;
-    Format.printf
-      "bench-serve: %d requests, %d clients, %.2fs (%.0f req/s)@."
-      requests (max 1 clients) wall
-      (if wall > 0. then float requests /. wall else 0.);
-    Format.printf
-      "  interactive: %d done, %d shed, p50 %.2fms p90 %.2fms p99 %.2fms@."
-      i_done i_shed i_p50 i_p90 i_p99;
-    Format.printf
-      "  bulk:        %d done, %d shed, p50 %.2fms p90 %.2fms p99 %.2fms@."
-      b_done b_shed b_p50 b_p90 b_p99;
-    Format.printf
-      "  hot tier: %.1f%% hit ratio; warm path %.2fus vs disk %.2fus         (%.1fx)@."
-      (100. *. hit_ratio) hot_p50_us disk_p50_us speedup;
-    Format.printf "  digest parity: %s; interactive tail %s@."
-      (if !parity_failures = 0 then "ok" else "FAILED")
-      (if interactive_bounded then "bounded" else "UNBOUNDED");
-    let failed =
-      !parity_failures > 0
-      || speedup < 5.
-      || i_shed > 0
-      || (not interactive_bounded)
-      || i_err + b_err > 0
-    in
-    if failed then begin
-      if speedup < 5. then
-        Format.eprintf
-          "bench-serve: hot tier speedup %.1fx below the 5x gate@." speedup;
-      if i_shed > 0 then
-        Format.eprintf
-          "bench-serve: %d interactive shed(s) — unexplained under this            load@."
-          i_shed;
-      if i_err + b_err > 0 then
-        Format.eprintf "bench-serve: %d request error(s)@." (i_err + b_err);
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "serve a mixed cold/warm/shed workload through an in-process vrmd \
-          and report per-lane latency percentiles")
-    Term.(
-      const run $ requests $ clients $ workers $ bulk_depth $ json_path)
-
 let () =
   let doc = "VRM: verification of concurrent kernel code on Arm relaxed memory" in
   exit
@@ -1428,5 +1041,4 @@ let () =
        (Cmd.group (Cmd.info "vrm-cli" ~doc)
           [ litmus_cmd; certify_cmd; simulate_cmd; scenario_cmd; stress_cmd;
             sweep_cmd; migrate_cmd; axiomatic_cmd; repair_cmd; lint_cmd;
-            serve_cmd; submit_cmd; status_cmd; shutdown_cmd; cache_gc_cmd;
-            bench_serve_cmd ]))
+            serve_cmd; submit_cmd; status_cmd; shutdown_cmd; cache_gc_cmd ]))

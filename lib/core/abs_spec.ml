@@ -171,13 +171,20 @@ let spec_register_vm (st : t) : t * int =
       vm_maps = sorted ((vmid, []) :: st.vm_maps) },
     vmid )
 
+(* Some device's SMMU table still maps [pfn]: donating it to a VM
+    would leave a DMA path into the VM's memory. *)
+let dma_reachable st pfn =
+  List.exists (fun (_, (_, m)) -> List.exists (fun (_, p) -> p = pfn) m) st.smmu
+
 (** [set_vm_image pfns]: authenticated boot. The pages must all be
-    KServ's and unshared; they move to the VM, leave KServ's map, and are
-    mapped at consecutive guest pages from 0; the VM becomes Verified. *)
+    KServ's, unshared and out of every device's reach; they move to the
+    VM, leave KServ's map, and are mapped at consecutive guest pages from
+    0; the VM becomes Verified. *)
 let spec_set_vm_image (st : t) ~vmid ~pfns : (t, [ `Denied ]) result =
   if
     List.exists
-      (fun pfn -> owner_of st pfn <> O_kserv || shared_of st pfn)
+      (fun pfn ->
+        owner_of st pfn <> O_kserv || shared_of st pfn || dma_reachable st pfn)
       pfns
     || vm_phase_of st vmid <> Some P_registered
   then Error `Denied
@@ -197,12 +204,14 @@ let spec_set_vm_image (st : t) ~vmid ~pfns : (t, [ `Denied ]) result =
     Ok (update_phase st vmid P_verified)
 
 (** [map_page_to_vm ipa pfn]: the stage-2 fault resolution. The page must
-    be KServ's and unshared; it leaves KServ's map, changes owner, and
-    backs the guest page (content is scrubbed — invisible here). *)
+    be KServ's, unshared and out of every device's reach; it leaves
+    KServ's map, changes owner, and backs the guest page (content is
+    scrubbed — invisible here). *)
 let spec_map_page_to_vm (st : t) ~vmid ~vp ~pfn : (t, [ `Denied ]) result =
   if
     owner_of st pfn <> O_kserv
     || shared_of st pfn
+    || dma_reachable st pfn
     || vm_phase_of st vmid = None
     || List.mem_assoc vp (vm_map_of st vmid)
   then Error `Denied

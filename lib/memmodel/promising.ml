@@ -594,35 +594,6 @@ let thread_key (st : state) i : Statekey.t =
   Statekey.absorb h (subkey st.tkeys.(i));
   Statekey.finish h
 
-(* The pre-interning key (string digest of a rendered state), kept only
-   as the baseline of the bench's key microbenchmark. *)
-let legacy_state_key (st : state) : string =
-  let buf = Buffer.create 512 in
-  List.iter
-    (fun m ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%d@%d.%d;" (Loc.to_string m.mloc) m.mval m.ts
-           m.wtid))
-    st.mem;
-  Array.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf "|%d.%d.%d.%d.%d.%d.%d.%d.%d" t.vrnew t.vwnew
-           t.vctrl t.vrmax t.vwmax t.vall t.vrel t.fuel t.promise_budget);
-      Reg.Map.iter
-        (fun r (v, w) ->
-          Buffer.add_string buf (Printf.sprintf "%s=%d.%d;" (Reg.name r) v w))
-        t.regs;
-      Loc.Map.iter
-        (fun l c ->
-          Buffer.add_string buf (Printf.sprintf "%s^%d;" (Loc.to_string l) c))
-        t.coh;
-      List.iter (fun p -> Buffer.add_string buf (Printf.sprintf "p%d;" p))
-        t.promises;
-      Buffer.add_string buf (Marshal.to_string t.code []))
-    st.threads;
-  Digest.string (Buffer.contents buf)
-
 (* ------------------------------------------------------------------ *)
 (* Certification and promise candidates                                *)
 (* ------------------------------------------------------------------ *)
@@ -1285,11 +1256,11 @@ let run ?config ?jobs ?deadline ?por ?sym (prog : Prog.t) : Behavior.t =
   fst (run_stats ?config ?jobs ?deadline ?por ?sym prog)
 
 (* ------------------------------------------------------------------ *)
-(* Key microbenchmark support                                          *)
+(* Sub-key self-check                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Breadth-first sample of up to 512 distinct states reachable in
-   [prog], shared by the key microbenchmark and the sub-key check. *)
+   [prog], the input of {!check_subkeys}. *)
 let sample_states config (prog : Prog.t) : state array =
   let ctx = make_ctx prog config in
   let sample = ref [] in
@@ -1312,33 +1283,6 @@ let sample_states config (prog : Prog.t) : state array =
               steps)
   done;
   Array.of_list !sample
-
-(** [key_microbench ?config ~iters prog] compares the legacy string
-    state key against the interned 128-bit hash over a sample of states
-    reachable in [prog]: returns
-    [(legacy_seconds, interned_seconds, states_sampled)] for
-    [iters] keyings of every sampled state. *)
-let key_microbench ?(config = default_config) ~iters (prog : Prog.t) :
-    float * float * int =
-  let states = sample_states config prog in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. t0
-  in
-  let legacy =
-    time (fun () ->
-        for _ = 1 to iters do
-          Array.iter (fun st -> ignore (legacy_state_key st)) states
-        done)
-  in
-  let interned =
-    time (fun () ->
-        for _ = 1 to iters do
-          Array.iter (fun st -> ignore (state_key st)) states
-        done)
-  in
-  (legacy, interned, Array.length states)
 
 (** [check_subkeys ?config prog] checks the cached per-thread sub-keys
     of every sampled state against a from-scratch recomputation that

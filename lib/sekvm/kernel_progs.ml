@@ -250,7 +250,10 @@ let pt_walker_race =
     initial_owners = [];
     expect = { e_drf = true; e_barrier = true; e_refine = false };
     rm_config = lockcfg1;
-    note = "the MMU-vs-kernel page-table race (Example 4's shape): exempt             from DRF, outside Theorem 2, discharged by the Transactional             and TLBI conditions instead" }
+    note =
+      "the MMU-vs-kernel page-table race (Example 4's shape): exempt from \
+       DRF, outside Theorem 2, discharged by the Transactional and TLBI \
+       conditions instead" }
 
 (* ------------------------------------------------------------------ *)
 (* Extension: the MCS queue lock (see {!Mcs_lock})                     *)
@@ -352,7 +355,8 @@ let handoff_missing_dmb =
     initial_owners = [ ("d", 0) ];
     expect = { e_drf = true; e_barrier = false; e_refine = false };
     rm_config = lockcfg1;
-    note = "hand-off without DMB/release: W002 on both sides of the             transfer" }
+    note =
+      "hand-off without DMB/release: W002 on both sides of the transfer" }
 
 let el2_double_map =
   (* the same EL2 page-table word mapped twice, no transaction around
@@ -371,7 +375,9 @@ let el2_double_map =
     initial_owners = [];
     expect = all_good;
     rm_config = lockcfg;
-    note = "kernel mapping installed twice: W003; the dynamic checkers             don't watch EL2 writes, so only the lint rejects it" }
+    note =
+      "kernel mapping installed twice: W003; the dynamic checkers don't \
+       watch EL2 writes, so only the lint rejects it" }
 
 let read_outside_lock =
   (* a correct critical section followed by a stray unlocked read of the
@@ -395,7 +401,9 @@ let read_outside_lock =
     initial_owners = [];
     expect = { e_drf = false; e_barrier = true; e_refine = true };
     rm_config = lockcfg1;
-    note = "lock-protected counter read again after release: W001 at the             stray load" }
+    note =
+      "lock-protected counter read again after release: W001 at the stray \
+       load" }
 
 let pull_no_push =
   (* a thread pulls the base and exits without pushing: the ownership
@@ -416,7 +424,9 @@ let pull_no_push =
     initial_owners = [];
     expect = { e_drf = false; e_barrier = true; e_refine = true };
     rm_config = lockcfg;
-    note = "pull without matching push: W006 leak, colliding with the             second CPU's pull" }
+    note =
+      "pull without matching push: W006 leak, colliding with the second \
+       CPU's pull" }
 
 let remap_no_tlbi =
   (* a live stage-2 entry is remapped under the lock but never
@@ -482,7 +492,9 @@ let split_transaction =
     initial_owners = [];
     expect = { e_drf = true; e_barrier = true; e_refine = false };
     rm_config = lockcfg1;
-    note = "PTE updates split by an unrelated write: W004; the walker can             observe the half-updated table" }
+    note =
+      "PTE updates split by an unrelated write: W004; the walker can \
+       observe the half-updated table" }
 
 let walker_no_isb =
   (* a software walker branches on a PT root and keeps loading without
@@ -506,7 +518,9 @@ let walker_no_isb =
     initial_owners = [];
     expect = all_good;
     rm_config = lockcfg;
-    note = "control-dependent walk with no ISB: advisory W007, verdict             Unknown, dynamic fallback stays green" }
+    note =
+      "control-dependent walk with no ISB: advisory W007, verdict Unknown, \
+       dynamic fallback stays green" }
 
 let el2_loop_remap =
   (* the same EL2 word rewritten on every loop iteration: the overwrite
@@ -529,7 +543,9 @@ let el2_loop_remap =
     initial_owners = [];
     expect = all_good;
     rm_config = lockcfg;
-    note = "loop-carried double map: the second iteration overwrites the             first; bounded 0/1 unrolling misses it, the fixpoint engine             pins W003" }
+    note =
+      "loop-carried double map: the second iteration overwrites the first; \
+       bounded 0/1 unrolling misses it, the fixpoint engine pins W003" }
 
 (* ------------------------------------------------------------------ *)
 (* Symmetric vCPU stress family (thread-symmetry reduction corpus)     *)

@@ -216,6 +216,42 @@ let test_teardown_revokes_dma_commutes () =
   Alcotest.(check int) "invariants clean" 0
     (List.length (Kcore.check_invariants kcore))
 
+let test_dma_reachable_donation_denied () =
+  (* a frame KServ's own device can still DMA into must not reach a VM
+     by either donation path: KCore refuses it and stutters, and so must
+     the spec — otherwise the VM's page stays open to KServ's DMA *)
+  let kcore, kserv = fresh () in
+  let vmid = Kcore.register_vm kcore ~cpu:0 in
+  let pfn = Kserv.alloc_page kserv in
+  (match
+     Kcore.smmu_attach kcore ~cpu:0 ~device:7 ~owner:Machine.S2page.Kserv
+   with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "attach denied");
+  (match Kcore.smmu_map kcore ~cpu:0 ~device:7 ~iova:0 ~pfn with
+  | Ok () -> ()
+  | Error `Denied -> Alcotest.fail "map denied");
+  let a0 = Abs_spec.abstract kcore in
+  (match
+     Kcore.set_vm_image kcore ~cpu:0 ~vmid ~pfns:[ pfn ] ~expected_hash:0
+   with
+  | Error `Denied -> ()
+  | Error `Bad_hash | Ok () -> Alcotest.fail "image page not refused");
+  Alcotest.check abs_t "image: impl stuttered" a0 (Abs_spec.abstract kcore);
+  (match Abs_spec.spec_set_vm_image a0 ~vmid ~pfns:[ pfn ] with
+  | Error `Denied -> ()
+  | Ok _ -> Alcotest.fail "spec donated a DMA-reachable image page");
+  (match
+     Kcore.map_page_to_vm kcore ~cpu:0 ~vmid
+       ~ipa:(Machine.Page_table.page_va 50) ~pfn
+   with
+  | Error `Denied -> ()
+  | Ok () -> Alcotest.fail "fault page not refused");
+  Alcotest.check abs_t "fault: impl stuttered" a0 (Abs_spec.abstract kcore);
+  match Abs_spec.spec_map_page_to_vm a0 ~vmid ~vp:50 ~pfn with
+  | Error `Denied -> ()
+  | Ok _ -> Alcotest.fail "spec donated a DMA-reachable fault page"
+
 (* ---- randomized refinement ---- *)
 
 module Rng = struct
@@ -410,7 +446,9 @@ let () =
           Alcotest.test_case "boot" `Quick test_boot_commutes;
           Alcotest.test_case "smmu ops" `Quick test_smmu_commutes;
           Alcotest.test_case "teardown revokes DMA" `Quick
-            test_teardown_revokes_dma_commutes ] );
+            test_teardown_revokes_dma_commutes;
+          Alcotest.test_case "no DMA-reachable donation" `Quick
+            test_dma_reachable_donation_denied ] );
       ( "randomized",
         [ QCheck_alcotest.to_alcotest qcheck_refinement;
           Alcotest.test_case "abstract invariant induction" `Quick

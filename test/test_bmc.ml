@@ -3,7 +3,8 @@
    3-CNF vs brute force, all-solutions model counts), order-matrix
    model counts, golden digest parity over the whole litmus suite under
    both memory models, pinned digests over the whole fragment,
-   random-program equivalence, and the bmc payload codec. *)
+   random-program equivalence, the high-interleaving writer fan, and the
+   bmc payload codec. *)
 
 open Memmodel
 
@@ -567,6 +568,37 @@ let test_bound_limited () =
   Alcotest.(check bool) "within bound is complete" true
     (Bmc.check ~mode:Bmc.Sc short).Bmc.complete
 
+(* The writer fan: N threads each storing 1 to [x], one reader loading
+   [x] twice. Same-location writes conflict, so the explicit SC
+   enumerator's state space grows as ~2^N, while the behavior set is
+   always the same 3 outcomes — (r0,r1) in {(0,0),(0,1),(1,1)}; (1,0)
+   is forbidden by coherence. The SAT backend's work scales with the
+   observationally distinct models, so it must decide the fan completely
+   at sizes the explicit enumerator cannot finish in interactive time. *)
+let writer_fan n =
+  let x = Expr.at "x" in
+  let r0 = Reg.v "r0" and r1 = Reg.v "r1" in
+  let writers =
+    List.init n (fun i -> Prog.thread (i + 2) [ Instr.store x (Expr.c 1) ])
+  in
+  Prog.make
+    ~name:(Printf.sprintf "writer-fan-%d" n)
+    ~observables:[ Prog.Obs_reg (1, r0); Prog.Obs_reg (1, r1) ]
+    (Prog.thread 1 [ Instr.load r0 x; Instr.load r1 x ] :: writers)
+
+let test_writer_fan () =
+  List.iter
+    (fun n ->
+      let r = Bmc.check ~mode:Bmc.Sc (writer_fan n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "N=%d complete" n)
+        true r.Bmc.complete;
+      Alcotest.(check int)
+        (Printf.sprintf "N=%d outcomes" n)
+        3
+        (Behavior.cardinal r.Bmc.behaviors))
+    [ 14; 18 ]
+
 (* ---- codec round-trip ---- *)
 
 let test_codec_roundtrip () =
@@ -626,7 +658,9 @@ let () =
         [ Alcotest.test_case "unsupported names thread and pc" `Quick
             test_unsupported_message;
           Alcotest.test_case "bound-limited verdicts" `Quick
-            test_bound_limited ] );
+            test_bound_limited;
+          Alcotest.test_case "writer fan decided completely" `Quick
+            test_writer_fan ] );
       ( "codec",
         [ Alcotest.test_case "bmc payload round-trip" `Quick
             test_codec_roundtrip ] ) ]

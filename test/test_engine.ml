@@ -509,8 +509,9 @@ let test_cert_cache_equivalence () =
     all_kernel
 
 (* The cache must actually field queries on the kernel corpus (lock
-   promises revisit equivalent certification problems), and report
-   nothing when disabled. *)
+   promises revisit equivalent certification problems) — at least half
+   of them, for the memoization to carry its weight (measured
+   9921/18916) — and report nothing when disabled. *)
 let test_cert_cache_hits () =
   let calls, hits =
     List.fold_left
@@ -525,6 +526,11 @@ let test_cert_cache_hits () =
   Alcotest.(check bool) "cert_calls > 0 over the corpus" true (calls > 0);
   Alcotest.(check bool) "cert_hits > 0 over the corpus" true (hits > 0);
   Alcotest.(check bool) "hits <= calls" true (hits <= calls);
+  Alcotest.(check bool)
+    (Printf.sprintf "cache answers at least half the queries (%d/%d)" hits
+       calls)
+    true
+    (2 * hits >= calls);
   let e = List.hd kernel in
   let _, (off : Engine.stats) =
     Promising.run_stats
@@ -585,10 +591,10 @@ let test_sym_parity_pushpull () =
     (all_kernel @ Sekvm.Kernel_progs.sym_corpus)
 
 (* The reduction must actually reduce on the family built for it: on
-   every sym-stress entry one group covering all threads is detected,
-   arrivals collapse, and the visited count drops — by at least 5x at
-   N=4 (the committed acceptance floor; measured ~20x). With sym off
-   the stats must report no groups. *)
+   every sym-stress entry both SC and Promising detect one group
+   covering all threads, arrivals collapse, and the visited count
+   drops — by at least 5x at N=4 (the committed acceptance floor;
+   measured ~20x). With sym off the stats must report no groups. *)
 let test_sym_reduces () =
   List.iter
     (fun (e : Sekvm.Kernel_progs.entry) ->
@@ -605,12 +611,19 @@ let test_sym_reduces () =
       in
       Alcotest.(check int) (name "sc one group") 1 sc_on.Engine.sym_groups;
       Alcotest.(check int)
+        (name "promising one group")
+        1 rm_on.Engine.sym_groups;
+      Alcotest.(check int)
         (name "sc off reports no groups")
         0 sc_off.Engine.sym_groups;
       Alcotest.(check bool)
         (name "sc collapses arrivals")
         true
         (sc_on.Engine.sym_collapsed > 0);
+      Alcotest.(check bool)
+        (name "promising collapses arrivals")
+        true
+        (rm_on.Engine.sym_collapsed > 0);
       Alcotest.(check bool)
         (name "sc visits fewer states")
         true
@@ -790,6 +803,75 @@ let test_check_many_parity () =
         (digest_behaviors v2.Vrm.Refinement.rm))
     direct many
 
+(* The kernel-corpus refinement sweep, pinned by one digest: md5 over
+   the "|"-joined per-entry [digest(sc) ^ digest(rm)] that
+   {!Vrm.Refinement.check_many} returns for the corpus and the
+   seeded-bug corpus. Domain count, POR, thread symmetry and the
+   certification cache are all verdict-preserving, so every
+   configuration must land on the same digest; with POR on the oracle
+   must also prune, and at jobs=4 the striped seen set must report a
+   sane shape. *)
+let sweep_digest = "6e491ed7dba45c37d04157d3904a6851"
+
+let test_sweep_digest () =
+  let sweep ~jobs ~por ~sym ~cert_cache =
+    let specs =
+      List.map
+        (fun (e : Sekvm.Kernel_progs.entry) ->
+          ( e.Sekvm.Kernel_progs.name,
+            e.Sekvm.Kernel_progs.prog,
+            { e.Sekvm.Kernel_progs.rm_config with Promising.cert_cache } ))
+        kernel
+    in
+    let results = Vrm.Refinement.check_many ~jobs ~por ~sym specs in
+    let stats =
+      List.concat_map
+        (fun (_, (v : Vrm.Refinement.verdict)) ->
+          [ v.Vrm.Refinement.sc_stats; v.Vrm.Refinement.rm_stats ])
+        results
+    in
+    let digest =
+      Digest.to_hex
+        (Digest.string
+           (String.concat "|"
+              (List.map
+                 (fun (_, (v : Vrm.Refinement.verdict)) ->
+                   digest_behaviors v.Vrm.Refinement.sc
+                   ^ digest_behaviors v.Vrm.Refinement.rm)
+                 results)))
+    in
+    (digest, stats)
+  in
+  List.iter
+    (fun (label, jobs, por, sym, cert_cache) ->
+      let digest, stats = sweep ~jobs ~por ~sym ~cert_cache in
+      let sum f = List.fold_left (fun acc s -> acc + f s) 0 stats in
+      let max_of f = List.fold_left (fun acc s -> max acc (f s)) 0 stats in
+      Alcotest.(check string) (label ^ ": sweep digest") sweep_digest digest;
+      if por then
+        Alcotest.(check bool)
+          (label ^ ": POR prunes transitions")
+          true
+          (sum (fun s -> s.Engine.por_pruned) > 0);
+      if jobs = 4 then begin
+        let occupancy = max_of (fun s -> s.Engine.stripe_occupancy) in
+        Alcotest.(check bool)
+          (label ^ ": seen-set stripes populated")
+          true
+          (max_of (fun s -> s.Engine.seen_stripes) > 0);
+        Alcotest.(check bool)
+          (label ^ ": stripe occupancy positive and bounded")
+          true
+          (occupancy > 0 && occupancy <= sum (fun s -> s.Engine.visited))
+      end)
+    [ ("jobs=1", 1, true, true, true);
+      ("jobs=2", 2, true, true, true);
+      ("jobs=4", 4, true, true, true);
+      ("por off jobs=1", 1, false, true, true);
+      ("por off jobs=4", 4, false, true, true);
+      ("sym off jobs=1", 1, true, false, true);
+      ("cert-cache off jobs=1", 1, true, true, false) ]
+
 let () =
   Alcotest.run "engine"
     [ ( "parity",
@@ -822,6 +904,9 @@ let () =
             `Quick test_cert_cache_hits;
           Alcotest.test_case "check_many = per-entry check" `Slow
             test_check_many_parity ] );
+      ( "sweep",
+        [ Alcotest.test_case "refinement sweep digest in every configuration"
+            `Slow test_sweep_digest ] );
       ( "symmetry",
         [ Alcotest.test_case "sym on/off digests equal everywhere" `Slow
             test_sym_parity_models;

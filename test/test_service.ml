@@ -8,12 +8,14 @@
      served from the in-memory hot tier;
    - coalescing: identical in-flight submissions share one execution;
    - lanes: interactive submissions overtake an earlier bulk backlog,
-     and a full lane sheds with [Overloaded] + retry-after;
+     a full lane sheds with [Overloaded] + retry-after, and a saturated
+     bulk lane never sheds an interactive submission;
    - deadlines: a job that ages out while queued (bulk lane included,
      and after a journal replay) is [Deadline_expired] without ever
      starting exploration; the engine's valve cuts short a running one;
    - durability: pending journal entries replay across a simulated
-     kill-and-restart with bit-identical result payloads;
+     kill-and-restart with bit-identical result payloads; a hot hit is
+     served from memory, much faster than a disk hit;
    - the daemon end-to-end: serve over a real Unix socket, submit,
      status, graceful shutdown; oversized frames are survivable errors;
    - the client survives a mid-restart daemon via bounded retry. *)
@@ -142,6 +144,8 @@ let test_warm_resubmit () =
       Alcotest.(check int) "every warm job hit the hot tier"
         (List.length specs)
         c2.Scheduler.hot_stats.Hot.hot_hits;
+      Alcotest.(check int) "warm round missed nothing"
+        c1.Scheduler.hot_stats.Hot.misses c2.Scheduler.hot_stats.Hot.misses;
       List.iter2
         (fun (o1, _) (o2, (m2 : Scheduler.meta)) ->
           match (o1, o2) with
@@ -356,6 +360,35 @@ let test_shedding () =
       | Scheduler.Done _, _ -> ()
       | _ -> Alcotest.fail "post-shed resubmission failed")
 
+let test_no_interactive_shed () =
+  (* a bulk lane bounded at 2, saturated by a stream of distinct bulk
+     jobs behind a slow filler, with an interactive job submitted after
+     each bulk one: the bulk lane sheds, the interactive lane never
+     does, and every interactive job completes *)
+  with_sched ~workers:2 ~bulk_depth:2 (fun sched ->
+      let bulk spec =
+        ignore (Scheduler.submit sched ~lane:Protocol.Bulk spec)
+      in
+      bulk (Scheduler.Refine_spec Sekvm.Kernel_progs.mcs_handoff);
+      let interactive =
+        List.mapi
+          (fun i (t : Litmus.t) ->
+            bulk (Scheduler.Litmus_spec (List.nth Litmus_suite.all i));
+            ( t.Litmus.prog.Prog.name,
+              Scheduler.submit sched (Scheduler.Litmus_spec t) ))
+          Paper_examples.all
+      in
+      List.iter
+        (fun (name, ticket) ->
+          ignore (done_payload name (Scheduler.await sched ticket)))
+        interactive;
+      Scheduler.drain sched;
+      let c = Scheduler.counters sched in
+      Alcotest.(check bool) "the bulk lane saturated and shed" true
+        (c.Scheduler.bulk.Scheduler.lane_shed > 0);
+      Alcotest.(check int) "no interactive shed" 0
+        c.Scheduler.interactive.Scheduler.lane_shed)
+
 (* ------------------------------------------------------------------ *)
 (* Hot-tier parity and durability                                      *)
 (* ------------------------------------------------------------------ *)
@@ -407,6 +440,60 @@ let test_hot_onoff_parity () =
   List.iter2
     (Alcotest.(check string) "hot on/off payload bit-identical")
     (run_all ~hot:true) (run_all ~hot:false)
+
+(* The hot tier's reason to exist: a warm entry served from memory must
+   cost far less than re-reading it from disk (open + checksum + parse)
+   — at least 5x at p50 (measured ~360x) — and hot lookups must never
+   touch the disk. Single lookups sit at the clock's resolution, so each
+   sample times a batch. *)
+let test_hot_vs_disk () =
+  let dir = tmppath "vrmd-warmpath" in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let store = Store.create ~dir ~engine_version:Engine.version () in
+      let key =
+        Scheduler.cache_key (Scheduler.Litmus_spec Paper_examples.mp_plain)
+      in
+      Store.add store key
+        (Codec.litmus_to_json
+           (Codec.litmus_summary (Litmus.run Paper_examples.mp_plain)));
+      let hot = Hot.create store in
+      Alcotest.(check bool) "first lookup promotes the disk entry" true
+        (Option.is_some (Hot.find hot key));
+      let before = Hot.counters hot and disk_before = Store.counters store in
+      let n = 1000 in
+      for _ = 1 to n do
+        if Option.is_none (Hot.find hot key) then
+          Alcotest.fail "hot lookup missed"
+      done;
+      let after = Hot.counters hot and disk_after = Store.counters store in
+      Alcotest.(check int) "N hot lookups are N hot hits" n
+        (after.Hot.hot_hits - before.Hot.hot_hits);
+      Alcotest.(check int) "hot lookups fall through to disk 0 times" 0
+        (after.Hot.disk_hits - before.Hot.disk_hits);
+      Alcotest.(check int) "hot lookups read the disk 0 times"
+        disk_before.Store.hits disk_after.Store.hits;
+      let p50 f =
+        let batch = 200 in
+        let samples =
+          Array.init 60 (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              for _ = 1 to batch do
+                ignore (f ())
+              done;
+              (Unix.gettimeofday () -. t0) /. float batch)
+        in
+        Array.sort compare samples;
+        samples.(Array.length samples / 2)
+      in
+      let hot_s = Float.max 1e-9 (p50 (fun () -> Hot.find hot key)) in
+      let disk_s = p50 (fun () -> Store.find store key) in
+      Alcotest.(check bool)
+        (Printf.sprintf "hot hit >= 5x faster than disk at p50 (%.0fx)"
+           (disk_s /. hot_s))
+        true
+        (disk_s >= 5. *. hot_s))
 
 let test_journal_replay () =
   let dir = tmppath "vrmd-journal-cache" in
@@ -485,7 +572,24 @@ let test_journal_replay () =
                 m2.Scheduler.from_cache;
               Alcotest.(check string)
                 "payload bit-identical across restart" replayed_payload
-                (Json.to_string p2)))
+                (Json.to_string p2);
+              if hot then begin
+                (* the disk hit promoted the entry: a second pass is
+                   served from memory, explores nothing, and returns
+                   the same bytes *)
+                let p3, _ =
+                  done_payload "promoted" (Scheduler.run sched2 spec)
+                in
+                let c = Scheduler.counters sched2 in
+                Alcotest.(check int) "first pass: one disk hit" 1
+                  c.Scheduler.hot_stats.Hot.disk_hits;
+                Alcotest.(check int) "second pass: one hot hit" 1
+                  c.Scheduler.hot_stats.Hot.hot_hits;
+                Alcotest.(check int) "neither pass explored" 0
+                  c.Scheduler.engine.Engine.visited;
+                Alcotest.(check string) "hot payload = disk payload"
+                  replayed_payload (Json.to_string p3)
+              end))
         [ true; false ])
 
 (* ------------------------------------------------------------------ *)
@@ -644,12 +748,16 @@ let () =
           Alcotest.test_case "bulk wakeup reaches an unreserved worker"
             `Quick test_bulk_wakeup;
           Alcotest.test_case "full lane sheds with retry-after" `Quick
-            test_shedding ] );
+            test_shedding;
+          Alcotest.test_case "bulk saturation never sheds interactive"
+            `Quick test_no_interactive_shed ] );
       ( "durability",
         [ Alcotest.test_case "hot on/off payloads bit-identical" `Quick
             test_hot_onoff_parity;
           Alcotest.test_case "journal replay across a restart" `Quick
-            test_journal_replay ] );
+            test_journal_replay;
+          Alcotest.test_case "hot hits beat disk hits, never read disk"
+            `Quick test_hot_vs_disk ] );
       ( "resilience",
         [ Alcotest.test_case "oversized frames are survivable" `Quick
             test_frame_cap;
